@@ -12,7 +12,7 @@ and the command line front end (:mod:`uvcguard.cli`).
 __version__ = "0.1.0"
 
 from .controller import (CommandReason, ControllerState, CyclePolicy,
-                         LampAction, LampCommand, load_policy, replay, step)
+                         LampAction, LampCommand, load_policy, step)
 from .dosimetry import (DEFAULT_TARGET_DOSE, DoseGrid, accumulate_dose,
                         coverage_report, inactivation_fraction,
                         irradiance_at_point, time_to_dose)
@@ -27,7 +27,7 @@ from .scenarios import (load_scenario, midnight_scenario,
                         serialize_scenario)
 from .simulator import (NoiseParams, OccupantScript, SafetyReport, Scenario,
                         ScenarioError, SimulationResult, Timeline, Waypoint,
-                        safety_check, simulate)
+                        replay, safety_check, simulate)
 
 __all__ = [
     "__version__",

@@ -27,16 +27,16 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .controller import ControllerState, step, write_command_log
+from .controller import step, write_command_log  # perfbench patches cli.step
 from .dosimetry import (DEFAULT_TARGET_DOSE, DoseGrid, coverage_report,
                         write_dose_map_csv)
-from .fusion import OccupancyFusion, read_event_log, sort_events, write_event_log
+from .fusion import read_event_log, write_event_log
 from .room import (LampTier, RoomConfigError, RoomModel, default_room,
                    load_room)
 from .scenarios import (load_scenario, midnight_scenario, random_walk_scenario,
                         reference_scenarios, scenario_to_dict)
-from .simulator import (Scenario, ScenarioError, SimulationResult, simulate,
-                        write_dose_grid_csv, write_probe_log)
+from .simulator import (Scenario, ScenarioError, SimulationResult, replay,
+                        simulate, write_dose_grid_csv, write_probe_log)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -278,24 +278,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(f"bad event log {args.events!r}: {exc}") from None
 
-    events = sort_events(events)
-    fusion = OccupancyFusion(scenario.room, scenario.fusion)
-    state = ControllerState.initial(
-        scenario.room, scenario.policy, scenario.start_time,
-        assume_vacant_since=scenario.start_time
-        if scenario.assume_vacant_at_start else None)
-    commands = []
-    n_ticks = int(round(scenario.duration / scenario.tick))
-    ei = 0
-    for k in range(n_ticks):
-        t = scenario.start_time + k * scenario.tick
-        while ei < len(events) and events[ei].timestamp <= t:
-            fusion.ingest(events[ei])
-            ei += 1
-        snapshot = fusion.snapshot(t)
-        state, cmds = step(state, snapshot, t, scenario.policy)
-        commands.extend(cmds)
-
+    commands = replay(scenario, events)
     out_path = _out_root(args.out) / "replay_commands.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as f:

@@ -17,6 +17,10 @@ Priorities, highest first:
    ``upper_room_period`` while armed.
 6. At local midnight, if vacant, one full cycle runs and the controller
    disarms; only renewed occupancy rearms it, which keeps empty days dark.
+
+The controller has no loop of its own. ``uvcguard.simulator`` steps it once
+per tick from a single control step shared by ``simulate`` and ``replay``,
+so replaying a run's event log reproduces its command log by construction.
 """
 
 from __future__ import annotations
@@ -346,17 +350,3 @@ def step(state: ControllerState, snapshot: OccupancySnapshot, now: float,
 
     state.prev_presence = presence
     return state, commands
-
-
-def replay(state: ControllerState, snapshots: Sequence[OccupancySnapshot],
-           policy: CyclePolicy) -> Tuple[ControllerState, List[LampCommand]]:
-    """Run step over a snapshot stream; deterministic for identical inputs."""
-    log: List[LampCommand] = []
-    prev_ts = -float("inf")
-    for snapshot in snapshots:
-        if snapshot.timestamp < prev_ts:
-            raise ValueError("snapshot stream is not time ordered")
-        prev_ts = snapshot.timestamp
-        state, commands = step(state, snapshot, snapshot.timestamp, policy)
-        log.extend(commands)
-    return state, log

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -257,6 +258,10 @@ def default_room() -> RoomModel:
 # validation
 # ---------------------------------------------------------------------------
 
+# lamp, sensor and occupant ids are written unquoted into the CSV logs
+ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
+
+
 def _finite(p: Point3) -> bool:
     return all(math.isfinite(v) for v in (p.x, p.y, p.z))
 
@@ -274,6 +279,8 @@ def validate(model: RoomModel) -> List[str]:
     lamp_ids = set()
     for lamp in model.lamps:
         where = f"lamp {lamp.id!r}"
+        if not ID_PATTERN.fullmatch(lamp.id):
+            problems.append(f"{where}: id must match {ID_PATTERN.pattern}")
         if lamp.id in lamp_ids:
             problems.append(f"{where}: duplicate id")
         lamp_ids.add(lamp.id)
@@ -292,6 +299,8 @@ def validate(model: RoomModel) -> List[str]:
     sensor_ids = set()
     for sensor in model.sensors:
         where = f"sensor {sensor.id!r}"
+        if not ID_PATTERN.fullmatch(sensor.id):
+            problems.append(f"{where}: id must match {ID_PATTERN.pattern}")
         if sensor.id in sensor_ids:
             problems.append(f"{where}: duplicate id")
         sensor_ids.add(sensor.id)

@@ -2,10 +2,16 @@
 
 Each tick runs the same pipeline: interpolate occupant positions, evaluate
 the physical sensor models, feed events through fusion, step the
-controller, apply lamp commands, then account dose, probe irradiance, and
-occupant exposure against the post-command lamp state. All randomness
-comes from one seeded generator drawn in a fixed order, so a scenario run
-twice with the same seed produces identical output byte for byte.
+controller, apply lamp commands, then sample probe irradiance and audit
+occupant exposure against the post-command lamp state. The floor dose
+grid is computed once at the end from the lamp on-intervals. All
+randomness comes from one seeded generator drawn in a fixed order, so a
+scenario run twice with the same seed produces identical output byte for
+byte.
+
+The tick grid, the control step, the lamp-state rule and the audited
+occupant stepper each live in one place below. simulate() drives all four,
+replay() the first two, and safety_check() all but the control step.
 
 Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 """
@@ -14,26 +20,25 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from .controller import (ControllerState, CyclePolicy, LampAction,
                          LampCommand, LampRoster, step)
-from .dosimetry import DoseGrid, LampOnIntervals, irradiance_at_point
-from .fusion import (BleAdvert, FusionParams, OccupancyFusion,
-                     OccupancySnapshot, Payload, PirMotion, SensorEvent,
-                     UsPresence, distance_to_rssi)
-from .room import (LampSpec, LampTier, Point3, RoomModel, SensorKind,
-                   SensorSpec, angle_between_deg, validate as validate_room)
+from .dosimetry import (DoseGrid, LampOnIntervals, accumulate_dose,
+                        irradiance_at_point)
+from .fusion import (BleAdvert, FusionParams, OccupancyFusion, Payload,
+                     PirMotion, SensorEvent, UsPresence, distance_to_rssi,
+                     sort_events)
+from .room import (ID_PATTERN, LampSpec, LampTier, Point3, RoomModel,
+                   SensorKind, SensorSpec, angle_between_deg,
+                   validate as validate_room)
 
 PIR_SPEED_THRESHOLD = 0.1      # m/s; slower targets look stationary to a PIR
 BLE_ADVERT_PERIOD = 1.0        # s between beacon advertisements
 CHEST_HEIGHT = 1.1             # m; exposure accounting plane
 PROBE_HEIGHT = 0.7             # m; desk-level virtual radiometers
-DOSE_CHECKPOINT_EVERY = 600.0  # s between dose-grid checkpoints
 MAX_RECORDED_VIOLATIONS = 10000
 
 
@@ -66,36 +71,13 @@ class OccupantScript:
     def __post_init__(self) -> None:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
 
-    def position_at(self, t: float) -> Point3:
-        wps = self.waypoints
-        if t <= wps[0].t:
-            return wps[0].position
-        if t >= wps[-1].t:
-            return wps[-1].position
-        i = bisect_right([w.t for w in wps], t) - 1
-        a, b = wps[i], wps[i + 1]
-        frac = (t - a.t) / (b.t - a.t)
-        return Point3(a.position.x + frac * (b.position.x - a.position.x),
-                      a.position.y + frac * (b.position.y - a.position.y),
-                      a.position.z + frac * (b.position.z - a.position.z))
-
-    def flag_at(self, t: float) -> bool:
-        wps = self.waypoints
-        if t <= wps[0].t:
-            return wps[0].inside_room
-        if t >= wps[-1].t:
-            return wps[-1].inside_room
-        i = bisect_right([w.t for w in wps], t) - 1
-        return wps[i].inside_room
-
 
 class _OccupantTracker:
     """Fast per-tick interpolation cursor over one script."""
 
-    __slots__ = ("script", "times", "wps", "index")
+    __slots__ = ("times", "wps", "index")
 
     def __init__(self, script: OccupantScript):
-        self.script = script
         self.wps = script.waypoints
         self.times = [w.t for w in self.wps]
         self.index = 0
@@ -172,6 +154,9 @@ def validate_scenario(sc: Scenario) -> List[str]:
     if sc.policy.reaction_deadline and sc.tick > max(sc.policy.reaction_deadline, 1e-9):
         problems.append("tick must not exceed the reaction deadline")
     for occ in sc.occupants:
+        if not ID_PATTERN.fullmatch(occ.occupant_id):
+            problems.append(f"occupant {occ.occupant_id!r}: id must match "
+                            f"{ID_PATTERN.pattern}")
         if not occ.waypoints:
             problems.append(f"occupant {occ.occupant_id!r}: needs waypoints")
             continue
@@ -272,10 +257,8 @@ class Timeline:
     tick: float
     probe_names: Tuple[str, ...]
     events: List[SensorEvent] = field(default_factory=list)
-    snapshots: List[OccupancySnapshot] = field(default_factory=list)
     commands: List[LampCommand] = field(default_factory=list)
     probe_samples: List[Tuple[float, Tuple[float, ...]]] = field(default_factory=list)
-    dose_checkpoints: List[Tuple[float, np.ndarray]] = field(default_factory=list)
     lamp_intervals: LampOnIntervals = field(default_factory=dict)
 
 
@@ -455,7 +438,7 @@ class _SafetyAccumulator:
 
 
 # ---------------------------------------------------------------------------
-# the engine
+# the tick pipeline: simulate, replay and safety_check
 # ---------------------------------------------------------------------------
 
 def _probe_points(room: RoomModel) -> List[Tuple[str, Point3]]:
@@ -468,114 +451,172 @@ def _probe_points(room: RoomModel) -> List[Tuple[str, Point3]]:
     return probes
 
 
+class _TickGrid:
+    """Tick k of a run covers [time(k), time(k + 1)). Offsets count seconds
+    from the scenario start, the clock occupant scripts run on; everything
+    else (fusion, controller, logs) uses absolute epoch seconds."""
+
+    def __init__(self, scenario: Scenario):
+        self.start = scenario.start_time
+        self.tick = scenario.tick
+        self.count = int(round(scenario.duration / scenario.tick))
+
+    def offset(self, k: int) -> float:
+        return k * self.tick
+
+    def time(self, k: int) -> float:
+        return self.start + k * self.tick
+
+
+class _Control:
+    """Fusion and controller of one run: events go into ``fusion`` as they
+    happen, and ``decide`` steps the controller on each tick's snapshot."""
+
+    def __init__(self, scenario: Scenario):
+        start = scenario.start_time
+        self.fusion = OccupancyFusion(scenario.room, scenario.fusion)
+        self.policy = scenario.policy
+        self.state = ControllerState.initial(
+            scenario.room, scenario.policy, start,
+            assume_vacant_since=start if scenario.assume_vacant_at_start else None)
+
+    def decide(self, t: float) -> List[LampCommand]:
+        self.state, commands = step(self.state, self.fusion.snapshot(t), t,
+                                    self.policy)
+        return commands
+
+
+class _LampState:
+    """Lamps lit over each tick: the controller's commands plus the
+    ``unsafe_force_on`` windows. ``on`` lists them in switch-on order, ties
+    in room order, so sums over it repeat bit for bit whatever the hash
+    seed. On-intervals are tick-index pairs."""
+
+    def __init__(self, scenario: Scenario):
+        start = scenario.start_time
+        self.lamps = scenario.room.lamps
+        self.force_on = {lamp: tuple((start + s, start + e) for s, e in spans)
+                         for lamp, spans in scenario.unsafe_force_on.items()
+                         if spans}
+        self.commanded: Set[str] = set()
+        self.pending = False
+        self.on: Dict[str, LampSpec] = {}
+        self.on_since: Dict[str, int] = {}
+        self.spans: Dict[str, List[Tuple[int, int]]] = {}
+
+    def apply(self, cmd: LampCommand) -> None:
+        if cmd.action is LampAction.TURN_ON:
+            self.commanded.add(cmd.lamp_id)
+        else:
+            self.commanded.discard(cmd.lamp_id)
+        self.pending = True
+
+    def settle(self, k: int, t: float) -> bool:
+        """Bring ``on`` up to date at tick k, time t; True if it changed."""
+        if not self.pending and not self.force_on:
+            return False
+        self.pending = False
+        lit = {l.id: l for l in self.lamps if l.id in self.commanded or any(
+            s <= t < e for s, e in self.force_on.get(l.id, ()))}
+        if lit.keys() == self.on.keys():
+            return False
+        for lamp_id in self.on:
+            if lamp_id not in lit:
+                self.spans.setdefault(lamp_id, []).append(
+                    (self.on_since.pop(lamp_id), k))
+        for lamp_id in lit:
+            self.on_since.setdefault(lamp_id, k)
+        self.on = {lamp_id: lit[lamp_id] for lamp_id in self.on_since}
+        return True
+
+    def close(self, k: int) -> Dict[str, List[Tuple[int, int]]]:
+        """All on-intervals, the open ones ended at tick k."""
+        for lamp_id, since in sorted(self.on_since.items()):
+            self.spans.setdefault(lamp_id, []).append((since, k))
+        return self.spans
+
+
+class _Occupants:
+    """Scripted occupant motion stepped along the tick grid; each tick's
+    movement segment is audited against the lamps lit over it."""
+
+    def __init__(self, scenario: Scenario, ticks: _TickGrid):
+        self.room = scenario.room
+        self.ticks = ticks
+        self.trackers = [_OccupantTracker(o) for o in scenario.occupants]
+        self.ids = [o.occupant_id for o in scenario.occupants]
+        self.audit = _SafetyAccumulator(self.room, scenario.policy, self.ids,
+                                        ticks.tick)
+        self.positions: List[Optional[Point3]] = [None] * len(self.ids)
+        self.insides: List[bool] = [False] * len(self.ids)
+        self._move_to(0.0)
+
+    def _move_to(self, offset: float) -> None:
+        positions: List[Optional[Point3]] = []
+        insides: List[bool] = []
+        for tr in self.trackers:
+            pos, flag = tr.at(offset)
+            positions.append(pos)
+            insides.append(flag or self.room.contains(pos))
+        self.prev_positions = self.positions
+        self.positions = positions
+        self.insides = insides
+
+    def advance(self, k: int, t: float, on_lamps: Dict[str, LampSpec]) -> None:
+        """Move to the end of tick k, auditing the segment walked over it."""
+        pos_a, in_a = self.positions, self.insides
+        self._move_to(self.ticks.offset(k + 1))
+        pos_b, in_b = self.positions, self.insides
+        for i, occupant_id in enumerate(self.ids):
+            self.audit.observe(t, occupant_id, pos_a[i], in_a[i],
+                               pos_b[i], in_b[i], on_lamps)
+
+
 def simulate(scenario: Scenario) -> SimulationResult:
     problems = validate_scenario(scenario)
     if problems:
         raise ScenarioError(problems)
 
     room = scenario.room
-    policy = scenario.policy
-    tick = scenario.tick
-    start = scenario.start_time
-    n_ticks = int(round(scenario.duration / tick))
-    end = start + n_ticks * tick
+    ticks = _TickGrid(scenario)
+    tick = ticks.tick
     rng = random.Random(scenario.seed)
     noise = scenario.noise
-
-    fusion = OccupancyFusion(room, scenario.fusion)
-    state = ControllerState.initial(
-        room, policy, start,
-        assume_vacant_since=start if scenario.assume_vacant_at_start else None)
+    control = _Control(scenario)
+    fusion = control.fusion
+    lamps = _LampState(scenario)
+    occupants = _Occupants(scenario, ticks)
 
     sensors = sorted(room.sensors, key=lambda s: s.id)
-    pir_sensors = [s for s in sensors if s.kind is SensorKind.PIR]
-    us_sensors = [s for s in sensors if s.kind is SensorKind.ULTRASONIC]
-    ble_sensors = [s for s in sensors if s.kind is SensorKind.BLE_RECEIVER]
-    lamps_by_id = {l.id: l for l in room.lamps}
 
     # independent false-positive Poisson clock per PIR sensor
     fp_rate = noise.false_positive_rate_per_hour / 3600.0
-    next_fp: Dict[str, float] = {}
-    if fp_rate > 0.0:
-        for s in pir_sensors:
-            next_fp[s.id] = start + rng.expovariate(fp_rate)
+    next_fp: Dict[str, float] = {
+        s.id: ticks.start + rng.expovariate(fp_rate)
+        for s in sensors if s.kind is SensorKind.PIR} if fp_rate > 0.0 else {}
 
     # hardware output latches (hold_time > 0 keeps re-emitting)
     latch_until: Dict[str, float] = {}
     latch_payload: Dict[str, Payload] = {}
 
-    trackers = [_OccupantTracker(o) for o in scenario.occupants]
-    beacon_indices = [i for i, tr in enumerate(trackers)
-                      if tr.script.carries_beacon]
+    beacon_indices = [i for i, o in enumerate(scenario.occupants)
+                      if o.carries_beacon]
 
     probes = _probe_points(room)
     probe_positions = [p for _, p in probes]
-    timeline = Timeline(scenario_name=scenario.name, start_time=start,
-                        end_time=end, tick=tick,
+    timeline = Timeline(scenario_name=scenario.name, start_time=ticks.start,
+                        end_time=ticks.time(ticks.count), tick=tick,
                         probe_names=tuple(name for name, _ in probes))
-    grid = DoseGrid.for_room(room)
-    cell_centers = grid.cell_centers
-    dose = grid.accumulated_dose
-    safety = _SafetyAccumulator(room, policy,
-                                [o.occupant_id for o in scenario.occupants], tick)
-
-    force_on = {lamp: tuple((start + s, start + e) for s, e in spans)
-                for lamp, spans in scenario.unsafe_force_on.items() if spans}
-
-    controller_on: Dict[str, bool] = {}
-    effective_on: Dict[str, LampSpec] = {}
-    on_since: Dict[str, float] = {}
-    cell_field: Optional[np.ndarray] = None
     probe_values: Tuple[float, ...] = tuple(0.0 for _ in probes)
-    next_advert = start
-    next_checkpoint = start + DOSE_CHECKPOINT_EVERY
-    half_tick = tick * 0.5
+    next_advert = ticks.start
 
-    def refresh_field() -> None:
-        nonlocal cell_field, probe_values
-        on_lamps = list(effective_on.values())
-        if on_lamps:
-            flat = np.array([irradiance_at_point(on_lamps, c) for c in cell_centers])
-            cell_field = flat.reshape(grid.rows, grid.cols)
-        else:
-            cell_field = None
-        probe_values = tuple(
-            irradiance_at_point(on_lamps, p) if on_lamps else 0.0
-            for p in probe_positions)
-
-    def sync_effective(now: float) -> None:
-        desired = {lamp_id for lamp_id, on in controller_on.items() if on}
-        for lamp_id, spans in force_on.items():
-            for s, e in spans:
-                if s <= now < e:
-                    desired.add(lamp_id)
-                    break
-        if desired != set(effective_on):
-            for lamp_id in list(effective_on):
-                if lamp_id not in desired:
-                    del effective_on[lamp_id]
-                    timeline.lamp_intervals.setdefault(lamp_id, []).append(
-                        (on_since.pop(lamp_id), now))
-            for lamp_id in desired:
-                if lamp_id not in effective_on:
-                    effective_on[lamp_id] = lamps_by_id[lamp_id]
-                    on_since[lamp_id] = now
-            refresh_field()
-
-    # occupant scripts run on scenario-relative clocks; everything else
-    # (fusion, controller, logs) uses absolute epoch seconds
-    positions: List[Point3] = []
-    insides: List[bool] = []
-    for tr in trackers:
-        pos, flag = tr.at(0.0)
-        positions.append(pos)
-        insides.append(flag or room.contains(pos))
-    prev_positions: List[Optional[Point3]] = [None] * len(trackers)
-
-    for k in range(n_ticks):
-        t = start + k * tick
+    for k in range(ticks.count):
+        t = ticks.time(k)
 
         # -- occupant kinematics -------------------------------------------
+        positions = occupants.positions
+        insides = occupants.insides
+        prev_positions = occupants.prev_positions
         moves_inside: List[Tuple[Optional[Point3], Point3]] = []
         inside_positions: List[Point3] = []
         for i, pos in enumerate(positions):
@@ -610,9 +651,8 @@ def simulate(scenario: Scenario) -> SimulationResult:
                                      rng, noise.rssi_sigma_db)
                     event = SensorEvent(
                         timestamp=t, source=sensor.id,
-                        payload=BleAdvert(
-                            beacon_id=trackers[idx].script.occupant_id,
-                            rssi=rssi))
+                        payload=BleAdvert(beacon_id=occupants.ids[idx],
+                                          rssi=rssi))
                     fusion.ingest(event)
                     timeline.events.append(event)
                 continue
@@ -631,44 +671,50 @@ def simulate(scenario: Scenario) -> SimulationResult:
                 timeline.events.append(event)
 
         # -- fuse, decide, actuate ------------------------------------------
-        snapshot = fusion.snapshot(t)
-        timeline.snapshots.append(snapshot)
-        state, commands = step(state, snapshot, t, policy)
+        commands = control.decide(t)
         if commands:
             timeline.commands.extend(commands)
             for cmd in commands:
-                controller_on[cmd.lamp_id] = cmd.action is LampAction.TURN_ON
-        sync_effective(t)
+                lamps.apply(cmd)
+        if lamps.settle(k, t):
+            on_lamps = list(lamps.on.values())
+            probe_values = tuple(
+                irradiance_at_point(on_lamps, p) if on_lamps else 0.0
+                for p in probe_positions)
 
         # -- accounting against the post-command lamp state -----------------
         timeline.probe_samples.append((t, probe_values))
-        if t + half_tick >= next_checkpoint:
-            timeline.dose_checkpoints.append((t, dose.copy()))
-            next_checkpoint += DOSE_CHECKPOINT_EVERY
-        if cell_field is not None:
-            dose += cell_field * tick
-        rel_next = (k + 1) * tick
-        next_positions: List[Point3] = []
-        next_insides: List[bool] = []
-        for tr in trackers:
-            pos, flag = tr.at(rel_next)
-            next_positions.append(pos)
-            next_insides.append(flag or room.contains(pos))
-        for i, tr in enumerate(trackers):
-            safety.observe(t, tr.script.occupant_id,
-                           positions[i], insides[i],
-                           next_positions[i], next_insides[i], effective_on)
-        prev_positions = positions
-        positions = next_positions
-        insides = next_insides
+        occupants.advance(k, t, lamps.on)
 
-    # close open intervals and take the final checkpoint
-    for lamp_id, since in sorted(on_since.items()):
-        timeline.lamp_intervals.setdefault(lamp_id, []).append((since, end))
-    timeline.dose_checkpoints.append((end, dose.copy()))
-
+    # the dose grid from on-durations counted in ticks: epoch differences
+    # carry rounding of up to 2.4e-7 s per endpoint, tick indices none
+    spans = lamps.close(ticks.count)
+    timeline.lamp_intervals = {
+        lamp_id: [(ticks.time(a), ticks.time(b)) for a, b in pairs]
+        for lamp_id, pairs in spans.items()}
+    dose_grid = accumulate_dose(DoseGrid.for_room(room), room.lamps, {
+        lamp_id: [(ticks.offset(a), ticks.offset(b)) for a, b in pairs]
+        for lamp_id, pairs in spans.items()})
     return SimulationResult(scenario=scenario, timeline=timeline,
-                            safety=safety.report(), dose_grid=grid)
+                            safety=occupants.audit.report(), dose_grid=dose_grid)
+
+
+def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampCommand]:
+    """Lamp commands re-derived from a run's sensor events alone: sorted,
+    then fed to fusion on the tick grid as simulate feeds them, so a run's
+    own event log reproduces its command log exactly."""
+    events = sort_events(events)
+    ticks = _TickGrid(scenario)
+    control = _Control(scenario)
+    commands: List[LampCommand] = []
+    i = 0
+    for k in range(ticks.count):
+        t = ticks.time(k)
+        while i < len(events) and events[i].timestamp <= t:
+            control.fusion.ingest(events[i])
+            i += 1
+        commands.extend(control.decide(t))
+    return commands
 
 
 # ---------------------------------------------------------------------------
@@ -705,52 +751,20 @@ def safety_check(timeline: Timeline, scenario: Scenario) -> SafetyReport:
     """Re-derive the safety report from a timeline's command record.
 
     Replays lamp states tick by tick from the logged commands (plus any
-    forced-on test windows) against the scripted occupant motion; agrees
+    forced-on test windows) against the scripted occupant motion, through
+    the same lamp-state rule and occupant stepper as simulate(); agrees
     with the report simulate() produced for the same run.
     """
-    room = scenario.room
-    tick = scenario.tick
-    start = scenario.start_time
-    n_ticks = int(round(scenario.duration / tick))
-    lamps_by_id = {l.id: l for l in room.lamps}
-    trackers = [_OccupantTracker(o) for o in scenario.occupants]
-    safety = _SafetyAccumulator(room, scenario.policy,
-                                [o.occupant_id for o in scenario.occupants], tick)
+    ticks = _TickGrid(scenario)
+    lamps = _LampState(scenario)
+    occupants = _Occupants(scenario, ticks)
     commands = timeline.commands
-    force_on = {lamp: tuple((start + s, start + e) for s, e in spans)
-                for lamp, spans in scenario.unsafe_force_on.items() if spans}
-    positions = []
-    insides = []
-    for tr in trackers:
-        pos, flag = tr.at(0.0)
-        positions.append(pos)
-        insides.append(flag or room.contains(pos))
     ci = 0
-    controller_on: Dict[str, bool] = {}
-    for k in range(n_ticks):
-        t = start + k * tick
+    for k in range(ticks.count):
+        t = ticks.time(k)
         while ci < len(commands) and commands[ci].timestamp <= t:
-            cmd = commands[ci]
-            controller_on[cmd.lamp_id] = cmd.action is LampAction.TURN_ON
+            lamps.apply(commands[ci])
             ci += 1
-        on_lamps = {lamp_id: lamps_by_id[lamp_id]
-                    for lamp_id, on in controller_on.items() if on}
-        for lamp_id, spans in force_on.items():
-            for s, e in spans:
-                if s <= t < e:
-                    on_lamps[lamp_id] = lamps_by_id[lamp_id]
-                    break
-        rel_next = (k + 1) * tick
-        next_positions = []
-        next_insides = []
-        for tr in trackers:
-            pos, flag = tr.at(rel_next)
-            next_positions.append(pos)
-            next_insides.append(flag or room.contains(pos))
-        for i, tr in enumerate(trackers):
-            safety.observe(t, tr.script.occupant_id,
-                           positions[i], insides[i],
-                           next_positions[i], next_insides[i], on_lamps)
-        positions = next_positions
-        insides = next_insides
-    return safety.report()
+        lamps.settle(k, t)
+        occupants.advance(k, t, lamps.on)
+    return occupants.audit.report()

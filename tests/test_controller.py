@@ -21,12 +21,13 @@ from uvcguard.controller import (
     policy_from_dict,
     policy_to_dict,
     read_command_log,
-    replay,
     step,
     write_command_log,
 )
-from uvcguard.fusion import OccupancySnapshot
+from uvcguard.fusion import (FusionParams, OccupancySnapshot, PirMotion,
+                             SensorEvent)
 from uvcguard.room import default_room
+from uvcguard.simulator import Scenario, replay
 
 ROOM = default_room()
 POLICY = CyclePolicy()
@@ -383,22 +384,26 @@ def test_interlock_invariants_hold_for_any_stream(flag_seq, dt):
 # replay and the command log
 # ---------------------------------------------------------------------------
 
+def empty_room(duration: float = 240.0) -> Scenario:
+    """No occupants, vacant since the start: a cycle starts at 60 s."""
+    return Scenario(name="empty", room=ROOM, policy=POLICY,
+                    fusion=FusionParams(), occupants=(), start_time=0.0,
+                    duration=duration, assume_vacant_at_start=True)
+
+
 def test_replay_is_deterministic():
-    snaps = [snap(60.0), snap(100.0, motion=True), snap(170.0), snap(230.0)]
-    _, first = replay(vacant_state(), snaps, POLICY)
-    _, second = replay(vacant_state(), snaps, POLICY)
+    events = [SensorEvent(100.0, "pir_1", PirMotion()),
+              SensorEvent(130.0, "pir_2", PirMotion())]
+    first = replay(empty_room(), events)
+    # replay sorts its events, so their order on input does not matter
+    second = replay(empty_room(), events[::-1])
     assert first == second
     assert len(first) > 0
 
 
-def test_replay_rejects_unordered_snapshots():
-    with pytest.raises(ValueError):
-        replay(vacant_state(), [snap(10.0), snap(5.0)], POLICY)
-
-
 def test_command_log_round_trip():
-    snaps = [snap(60.0), snap(100.0, motion=True), snap(170.0)]
-    _, commands = replay(vacant_state(), snaps, POLICY)
+    commands = replay(empty_room(), [SensorEvent(100.0, "pir_1", PirMotion())])
+    assert commands
     buf = io.StringIO()
     write_command_log(commands, buf)
     text = buf.getvalue()

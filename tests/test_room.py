@@ -115,6 +115,18 @@ def test_validate_flags_lamp_problems():
     assert any("electrical_power" in p for p in problems)
 
 
+def test_validate_rejects_ids_the_csv_logs_cannot_carry():
+    room = default_room()
+    lamps = tuple(dataclasses.replace(l, id="ceiling 1") if l.id == "ceiling_1"
+                  else l for l in room.lamps)
+    sensors = tuple(dataclasses.replace(s, id="pir,1") if s.id == "pir_1"
+                    else s for s in room.sensors)
+    problems = validate(dataclasses.replace(room, lamps=lamps, sensors=sensors))
+    assert "lamp 'ceiling 1': id must match [A-Za-z0-9_.-]+" in problems
+    assert "sensor 'pir,1': id must match [A-Za-z0-9_.-]+" in problems
+    assert validate(room) == []
+
+
 def test_validate_rejects_downward_upper_room_fixture():
     room = default_room()
     bad = LampSpec("ur_bad", LampTier.UPPER_ROOM, Point3(1, 1, 2.4), 25.0,

@@ -3,15 +3,21 @@
 import dataclasses
 import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uvcguard
 from uvcguard.controller import CyclePolicy, write_command_log
 from uvcguard.dosimetry import DoseGrid, accumulate_dose, irradiance_at_point
 from uvcguard.fusion import (BleAdvert, FusionParams, distance_to_rssi,
-                             write_event_log)
+                             read_event_log, write_event_log)
 from uvcguard.room import Point3, SensorKind, default_room
+from uvcguard.scenarios import random_walk_scenario
 from uvcguard.simulator import (
     CHEST_HEIGHT,
     NoiseParams,
@@ -21,6 +27,7 @@ from uvcguard.simulator import (
     Waypoint,
     ble_model,
     pir_model,
+    replay,
     safety_check,
     simulate,
     us_model,
@@ -44,8 +51,8 @@ def wp(t, x, y, z=1.0, inside=True):
 
 
 def make_scenario(occupants, duration=400.0, name="t", noise=QUIET, seed=1,
-                  **kwargs) -> Scenario:
-    return Scenario(name=name, room=ROOM, policy=CyclePolicy(),
+                  room=ROOM, **kwargs) -> Scenario:
+    return Scenario(name=name, room=room, policy=CyclePolicy(),
                     fusion=FusionParams(), occupants=tuple(occupants),
                     start_time=START, duration=duration, tick=0.1, seed=seed,
                     noise=noise, **kwargs)
@@ -197,6 +204,20 @@ def test_simulate_raises_on_invalid_scenario():
         simulate(sc)
 
 
+def test_ids_the_csv_logs_cannot_carry_are_rejected():
+    # a beacon id with a comma would add a field to its events.csv rows
+    sc = make_scenario([seated("worker,3", beacon=True)])
+    assert any("'worker,3'" in p and "id must match" in p
+               for p in validate_scenario(sc))
+    with pytest.raises(ScenarioError, match="worker,3"):
+        simulate(sc)
+    lamps = tuple(dataclasses.replace(l, id="desk 2") if l.id == "desk_2"
+                  else l for l in ROOM.lamps)
+    sc = make_scenario([seated()], room=dataclasses.replace(ROOM, lamps=lamps))
+    with pytest.raises(ScenarioError, match="'desk 2': id must match"):
+        simulate(sc)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -231,6 +252,53 @@ def test_different_seed_changes_the_noise():
         render(simulate(noisy_scenario(43)))
 
 
+def test_probe_log_bytes_do_not_depend_on_the_hash_seed():
+    # an empty room assumed vacant: three lamps switch on in the same tick
+    # at 60 s, and the probes must sum their irradiance in a fixed order
+    code = (
+        "import sys\n"
+        "from uvcguard.controller import CyclePolicy\n"
+        "from uvcguard.fusion import FusionParams\n"
+        "from uvcguard.room import default_room\n"
+        "from uvcguard.simulator import (NoiseParams, Scenario, simulate,\n"
+        "                                write_probe_log)\n"
+        "sc = Scenario(name='empty', room=default_room(), policy=CyclePolicy(),\n"
+        "              fusion=FusionParams(), occupants=(),\n"
+        f"              start_time={START!r}, duration=120.0,\n"
+        "              noise=NoiseParams(false_positive_rate_per_hour=0.0),\n"
+        "              assume_vacant_at_start=True)\n"
+        "write_probe_log(simulate(sc).timeline, sys.stdout)\n")
+    src = str(Path(uvcguard.__file__).resolve().parent.parent)
+    logs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        logs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, check=True).stdout)
+    assert logs[0].count(b"\n") == 1201
+    assert logs[0] == logs[1]
+
+
+ROUND_TRIP_RUNS = {
+    **{f"fuzz:{seed}": (lambda seed=seed: random_walk_scenario(seed))
+       for seed in range(10)},
+    "noisy": lambda: noisy_scenario(42),
+    "two_occupants": lambda: make_scenario([walker(), seated()]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(ROUND_TRIP_RUNS))
+def test_replay_of_the_event_log_reproduces_the_commands(run):
+    scenario = ROUND_TRIP_RUNS[run]()
+    result = simulate(scenario)
+    log = io.StringIO()
+    write_event_log(result.timeline.events, log)
+    events = read_event_log(io.StringIO(log.getvalue()))
+    assert result.timeline.commands
+    assert replay(scenario, events) == result.timeline.commands
+
+
 # ---------------------------------------------------------------------------
 # timeline bookkeeping
 # ---------------------------------------------------------------------------
@@ -262,14 +330,6 @@ def test_dose_grid_matches_interval_accumulation():
     expected = accumulate_dose(fresh, ROOM.lamps, result.timeline.lamp_intervals)
     assert result.dose_grid.accumulated_dose == pytest.approx(
         expected.accumulated_dose, rel=1e-9)
-
-
-def test_dose_checkpoints_are_monotone_and_labeled():
-    result = simulate(make_scenario([walker()], duration=1250.0))
-    labels = [t for t, _ in result.timeline.dose_checkpoints]
-    assert labels == [START + 600.0, START + 1200.0, START + 1250.0]
-    totals = [grid.sum() for _, grid in result.timeline.dose_checkpoints]
-    assert totals == sorted(totals)
 
 
 def test_events_are_time_ordered_and_sources_known():
