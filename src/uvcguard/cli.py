@@ -34,7 +34,7 @@ from .fusion import read_event_log, write_event_log
 from .room import (LampTier, RoomConfigError, RoomModel, default_room,
                    load_room)
 from .scenarios import (load_scenario, midnight_scenario, random_walk_scenario,
-                        reference_scenarios, scenario_to_dict)
+                        reference_scenarios, serialize_scenario)
 from .simulator import (Scenario, ScenarioError, SimulationResult, replay,
                         simulate, write_dose_grid_csv, write_probe_log)
 
@@ -105,16 +105,13 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     if getattr(args, "seed", None) is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    policy = scenario.policy
-    if getattr(args, "reaction_deadline", None) is not None:
+    overrides = {name: getattr(args, name) for name in ("reaction_deadline", "tz_offset")
+                 if getattr(args, name, None) is not None}
+    if overrides:
         try:
-            policy = dataclasses.replace(policy,
-                                         reaction_deadline=args.reaction_deadline)
+            policy = dataclasses.replace(scenario.policy, **overrides)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-    if getattr(args, "tz_offset", None) is not None:
-        policy = dataclasses.replace(policy, tz_offset=args.tz_offset)
-    if policy is not scenario.policy:
         scenario = dataclasses.replace(scenario, policy=policy)
     return scenario
 
@@ -165,8 +162,7 @@ def _run_and_write(scenario: Scenario, outdir: Path, command: str) -> Simulation
     elapsed = time.monotonic() - started
 
     outputs = {
-        "scenario.json": lambda f: f.write(
-            json.dumps(scenario_to_dict(scenario), indent=2) + "\n"),
+        "scenario.json": lambda f: f.write(serialize_scenario(scenario)),
         "events.csv": lambda f: write_event_log(result.timeline.events, f),
         "commands.csv": lambda f: write_command_log(result.timeline.commands, f),
         "probes.csv": lambda f: write_probe_log(result.timeline, f),

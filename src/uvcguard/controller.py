@@ -25,14 +25,15 @@ so replaying a run's event log reproduces its command log by construction.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 from dataclasses import dataclass, field
 from datetime import datetime, timezone, date
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fusion import OccupancySnapshot
-from .room import LampTier, RoomModel
+from .room import (LampTier, RoomConfigError, RoomModel, params_from_dict,
+                   read_json, require_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +45,8 @@ class CyclePolicy:
     """Cycle durations and interlock timing, all in seconds.
 
     ``tz_offset`` shifts epoch timestamps to the controller's local clock
-    for the midnight schedule.
+    for the midnight schedule. The field names are the keys of a policy
+    file and of a scenario's ``policy`` object; every value must be finite.
     """
 
     ceiling_cycle: float = 600.0
@@ -57,6 +59,7 @@ class CyclePolicy:
     tz_offset: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("ceiling_cycle", "desk_cycle", "upper_room_cycle",
                      "upper_room_period", "vacancy_grace", "desk_quiet_gap"):
             if getattr(self, name) <= 0.0:
@@ -65,33 +68,22 @@ class CyclePolicy:
             raise ValueError("reaction_deadline must be in [0, 1] seconds")
 
 
-POLICY_FIELDS = ("ceiling_cycle", "desk_cycle", "upper_room_cycle",
-                 "upper_room_period", "vacancy_grace", "desk_quiet_gap",
-                 "reaction_deadline", "tz_offset")
-
-
 def policy_from_dict(doc: dict) -> CyclePolicy:
-    if not isinstance(doc, dict):
-        raise ValueError("policy: expected an object")
-    unknown = set(doc) - set(POLICY_FIELDS)
-    if unknown:
-        raise ValueError(f"policy: unexpected keys {sorted(unknown)}")
-    for key, value in doc.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"policy.{key}: expected a number")
-    return CyclePolicy(**{k: float(v) for k, v in doc.items()})
+    """Read a policy object whose keys are CyclePolicy fields; raises
+    RoomConfigError listing every problem."""
+    errors: List[str] = []
+    policy = params_from_dict(doc, CyclePolicy, "policy", errors)
+    if errors:
+        raise RoomConfigError(errors)
+    return policy
 
 
 def load_policy(text: str) -> CyclePolicy:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"policy parse error at line {exc.lineno}: {exc.msg}") from exc
-    return policy_from_dict(doc)
+    return policy_from_dict(read_json(text, "policy", RoomConfigError))
 
 
 def policy_to_dict(policy: CyclePolicy) -> dict:
-    return {name: getattr(policy, name) for name in POLICY_FIELDS}
+    return dataclasses.asdict(policy)
 
 
 # ---------------------------------------------------------------------------

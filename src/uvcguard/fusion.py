@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .room import RoomModel, SensorKind, SensorSpec, angle_between_deg, Point3
+from .room import (RoomModel, SensorKind, SensorSpec, angle_between_deg, Point3,
+                   require_finite)
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +87,7 @@ class FusionParams:
     ble_stale_after: float = 10.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 1.5 <= self.ble_path_loss_exponent <= 4.0:
             raise ValueError("ble_path_loss_exponent must be in [1.5, 4.0]")
         for name in ("pir_hold", "us_hold", "approach_radius", "ble_stale_after"):

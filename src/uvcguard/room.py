@@ -3,16 +3,22 @@
 All lengths are in meters, powers in watts, angles in degrees. The room is an
 axis-aligned box with its origin at one floor corner: x spans the width,
 y the length, z the height.
+
+This module also holds the strict JSON field readers that room, policy and
+scenario files share. They reject unknown keys, wrong JSON types and
+non-finite numbers, and name the path of every problem.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +314,8 @@ def validate(model: RoomModel) -> List[str]:
             problems.append(f"{where}: position outside the room box")
         if sensor.kind is SensorKind.MANUAL_SWITCH:
             manual_count += 1
+        if sensor.aim is not None and not _finite(sensor.aim):
+            problems.append(f"{where}: aim must be finite")
         if sensor.kind in (SensorKind.PIR, SensorKind.ULTRASONIC):
             if sensor.aim is None or sensor.aim.norm() == 0.0:
                 problems.append(f"{where}: {sensor.kind.value} needs an aim direction")
@@ -315,8 +323,8 @@ def validate(model: RoomModel) -> List[str]:
                 problems.append(f"{where}: fov_half_angle must be in (0, 180]")
             if not sensor.max_range > 0.0:
                 problems.append(f"{where}: max_range must be > 0")
-        if sensor.hold_time < 0.0:
-            problems.append(f"{where}: hold_time must be >= 0")
+        if not 0.0 <= sensor.hold_time < math.inf:
+            problems.append(f"{where}: hold_time must be finite and >= 0")
     if manual_count != 1:
         problems.append(f"room must have exactly one manual switch, found {manual_count}")
 
@@ -355,168 +363,203 @@ def validate(model: RoomModel) -> List[str]:
 # ---------------------------------------------------------------------------
 
 class RoomConfigError(ValueError):
-    """Raised for malformed or invalid room configuration text."""
+    """Raised for malformed or invalid room or policy configuration text."""
 
     def __init__(self, errors: List[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 
 
-def _require_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> List[str]:
-    errors = []
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unexpected key")
-    for key in required:
-        if key not in obj:
-            errors.append(f"{path}.{key}: missing")
-    return errors
+# Room, policy and scenario files share the readers below; no other code
+# checks a config value's JSON type. A reader that finds a problem appends
+# "<path>: ..." to ``errors`` and returns a default, so one pass over a
+# document reports every problem it can reach.
+
+def read_json(text: str, what: str, error: Callable[[List[str]], Exception]):
+    """Parse JSON text; a syntax error raises ``error`` naming line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error([f"{what} parse error at line {exc.lineno}, "
+                     f"column {exc.colno}: {exc.msg}"]) from None
 
 
-def _parse_point(value, path: str, errors: List[str]) -> Point3:
-    if (not isinstance(value, (list, tuple)) or len(value) != 3
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in value)):
-        errors.append(f"{path}: expected [x, y, z] numbers")
-        return Point3(0.0, 0.0, 0.0)
-    return Point3(float(value[0]), float(value[1]), float(value[2]))
+def _expect(ok: bool, path: str, expected: str, errors: List[str]) -> bool:
+    if not ok:
+        errors.append(f"{path}: expected {expected}")
+    return ok
 
 
-def _parse_number(obj: dict, key: str, path: str, errors: List[str],
-                  default=None) -> Optional[float]:
+def is_number(value) -> bool:
+    """A finite JSON number. RFC 8259 has no NaN or Infinity, and an integer
+    too large for a float is refused rather than overflowing later."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def read_keys(obj, path: str, errors: List[str], required: Sequence[str],
+              optional: Sequence[str] = ()) -> bool:
+    """Report unknown and missing keys of ``obj``. True when it is an object
+    holding every required key, so that its fields can be read."""
+    if not _expect(isinstance(obj, dict), path, "an object", errors):
+        return False
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        errors.append(f"{path}: unexpected keys {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    errors += [f"{path}: missing key {key!r}" for key in missing]
+    return not missing
+
+
+def _read(obj: dict, key: str, path: str, errors: List[str], default,
+          valid: Callable[[object], bool], expected: str):
     if key not in obj:
         return default
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        errors.append(f"{path}.{key}: expected a number")
-        return default
-    return float(v)
+    value = obj[key]
+    ok = _expect(valid(value), f"{path}.{key}" if path else key, expected, errors)
+    return value if ok else default
 
 
-def _parse_bool(obj: dict, key: str, path: str, errors: List[str],
-                default=None) -> Optional[bool]:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, bool):
-        errors.append(f"{path}.{key}: expected true/false")
-        return default
-    return v
+def read_number(obj: dict, key: str, path: str, errors: List[str],
+                default: Optional[float] = None) -> Optional[float]:
+    value = _read(obj, key, path, errors, None, is_number, "a number")
+    return default if value is None else float(value)
 
 
-def _parse_str(obj: dict, key: str, path: str, errors: List[str]) -> str:
-    v = obj.get(key)
-    if not isinstance(v, str) or not v:
-        errors.append(f"{path}.{key}: expected a non-empty string")
-        return ""
-    return v
+def read_int(obj: dict, key: str, path: str, errors: List[str], default: int = 0) -> int:
+    return _read(obj, key, path, errors, default,
+                 lambda v: isinstance(v, int) and not isinstance(v, bool),
+                 "an integer")
+
+
+def read_bool(obj: dict, key: str, path: str, errors: List[str],
+              default: Optional[bool] = None) -> Optional[bool]:
+    return _read(obj, key, path, errors, default,
+                 lambda v: isinstance(v, bool), "a boolean")
+
+
+def read_str(obj: dict, key: str, path: str, errors: List[str]) -> str:
+    return _read(obj, key, path, errors, "",
+                 lambda v: isinstance(v, str) and v != "", "a non-empty string")
+
+
+def read_object(obj: dict, key: str, path: str, errors: List[str]) -> dict:
+    return _read(obj, key, path, errors, {},
+                 lambda v: isinstance(v, dict), "an object")
+
+
+def read_enum(obj: dict, key: str, path: str, errors: List[str], enum: type):
+    values = [member.value for member in enum]
+    value = _read(obj, key, path, errors, None, lambda v: v in values,
+                  f"one of {values}")
+    return None if value is None else enum(value)
+
+
+def read_numbers(value, n: int, path: str, errors: List[str],
+                 expected: str) -> Optional[Tuple[float, ...]]:
+    """Read a JSON array of exactly ``n`` numbers."""
+    ok = isinstance(value, list) and len(value) == n and all(map(is_number, value))
+    return tuple(map(float, value)) if _expect(ok, path, expected, errors) else None
+
+
+def read_point(value, path: str, errors: List[str]) -> Point3:
+    xyz = read_numbers(value, 3, path, errors, "[x, y, z] numbers")
+    return Point3(*xyz) if xyz is not None else Point3(0.0, 0.0, 0.0)
+
+
+def read_list(value, path: str, errors: List[str], item: Callable,
+              non_empty: bool = False) -> list:
+    """Read a JSON array through ``item(raw, path, errors)``, dropping the
+    items it rejects by returning None."""
+    ok = isinstance(value, list) and (bool(value) or not non_empty)
+    if not _expect(ok, path, "a non-empty list" if non_empty else "a list", errors):
+        return []
+    items = (item(raw, f"{path}[{i}]", errors) for i, raw in enumerate(value))
+    return [parsed for parsed in items if parsed is not None]
+
+
+def params_from_dict(doc, cls: type, path: str, errors: List[str]):
+    """Read a dataclass of numbers keyed by its field names; absent fields
+    keep their defaults and ``cls`` checks the values it is given."""
+    fields = dataclasses.fields(cls)
+    if not read_keys(doc, path, errors, (), [f.name for f in fields]):
+        return cls()
+    try:
+        return cls(**{f.name: read_number(doc, f.name, path, errors, f.default)
+                      for f in fields})
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
+        return cls()
+
+
+def require_finite(params) -> None:
+    """Raise ValueError naming the first field of a dataclass of numbers
+    that is NaN or infinite."""
+    for f in dataclasses.fields(params):
+        if not math.isfinite(getattr(params, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
+def _lamp(obj, path: str, errors: List[str]) -> Optional[LampSpec]:
+    if not read_keys(obj, path, errors, ("id", "tier", "position", "electrical_power"),
+                     ("uvc_efficiency", "emits_downward")):
+        return None
+    tier = read_enum(obj, "tier", path, errors, LampTier)
+    if tier is None:
+        return None
+    return LampSpec(
+        id=read_str(obj, "id", path, errors), tier=tier,
+        position=read_point(obj["position"], f"{path}.position", errors),
+        electrical_power=read_number(obj, "electrical_power", path, errors, 0.0),
+        uvc_efficiency=read_number(obj, "uvc_efficiency", path, errors,
+                                   DEFAULT_UVC_EFFICIENCY),
+        emits_downward=read_bool(obj, "emits_downward", path, errors))
+
+
+def _sensor(obj, path: str, errors: List[str]) -> Optional[SensorSpec]:
+    if not read_keys(obj, path, errors, ("id", "kind", "position"),
+                     ("aim", "fov_half_angle", "max_range", "hold_time")):
+        return None
+    kind = read_enum(obj, "kind", path, errors, SensorKind)
+    if kind is None:
+        return None
+    return SensorSpec(
+        id=read_str(obj, "id", path, errors), kind=kind,
+        position=read_point(obj["position"], f"{path}.position", errors),
+        aim=read_point(obj["aim"], f"{path}.aim", errors) if "aim" in obj else None,
+        fov_half_angle=read_number(obj, "fov_half_angle", path, errors),
+        max_range=read_number(obj, "max_range", path, errors),
+        hold_time=read_number(obj, "hold_time", path, errors, 0.0))
+
+
+def _zone(obj, path: str, errors: List[str]) -> Optional[DeskZone]:
+    if not read_keys(obj, path, errors, ("desk_id", "center"),
+                     ("exclusion_radius", "has_desk_lamp")):
+        return None
+    return DeskZone(
+        desk_id=read_str(obj, "desk_id", path, errors),
+        center=read_point(obj["center"], f"{path}.center", errors),
+        exclusion_radius=read_number(obj, "exclusion_radius", path, errors, 2.0),
+        has_desk_lamp=read_bool(obj, "has_desk_lamp", path, errors, False))
 
 
 def room_from_dict(doc: dict) -> RoomModel:
-    """Build a RoomModel from a parsed config tree, rejecting unknown keys."""
+    """Build a validated RoomModel from a parsed config tree, rejecting
+    unknown keys, wrong JSON types and non-finite numbers."""
     errors: List[str] = []
-    if not isinstance(doc, dict):
-        raise RoomConfigError(["top level: expected an object"])
-    errors += _require_keys(doc, "config",
-                            ("room", "lamps", "sensors", "desk_zones", "door"))
+    if not read_keys(doc, "config", errors,
+                     ("room", "lamps", "sensors", "desk_zones", "door")):
+        raise RoomConfigError(errors)
+    dims = ("width", "length", "ceiling_height")
+    box = doc["room"] if read_keys(doc["room"], "room", errors, dims) else {}
+    model = RoomModel(
+        **{name: read_number(box, name, "room", errors, 0.0) for name in dims},
+        lamps=read_list(doc["lamps"], "lamps", errors, _lamp),
+        sensors=read_list(doc["sensors"], "sensors", errors, _sensor),
+        desk_zones=read_list(doc["desk_zones"], "desk_zones", errors, _zone),
+        door_position=read_point(doc["door"], "door", errors))
     if errors:
         raise RoomConfigError(errors)
-
-    room_obj = doc["room"]
-    if not isinstance(room_obj, dict):
-        errors.append("room: expected an object")
-        raise RoomConfigError(errors)
-    errors += _require_keys(room_obj, "room", ("width", "length", "ceiling_height"))
-    width = _parse_number(room_obj, "width", "room", errors, 0.0)
-    length = _parse_number(room_obj, "length", "room", errors, 0.0)
-    height = _parse_number(room_obj, "ceiling_height", "room", errors, 0.0)
-
-    lamps: List[LampSpec] = []
-    if not isinstance(doc["lamps"], list):
-        errors.append("lamps: expected a list")
-    else:
-        for i, obj in enumerate(doc["lamps"]):
-            path = f"lamps[{i}]"
-            if not isinstance(obj, dict):
-                errors.append(f"{path}: expected an object")
-                continue
-            errors += _require_keys(obj, path,
-                                    ("id", "tier", "position", "electrical_power"),
-                                    ("uvc_efficiency", "emits_downward"))
-            lamp_id = _parse_str(obj, "id", path, errors)
-            tier_raw = obj.get("tier")
-            try:
-                tier = LampTier(tier_raw)
-            except ValueError:
-                errors.append(f"{path}.tier: expected one of "
-                              f"{[t.value for t in LampTier]}, got {tier_raw!r}")
-                continue
-            lamps.append(LampSpec(
-                id=lamp_id, tier=tier,
-                position=_parse_point(obj.get("position"), f"{path}.position", errors),
-                electrical_power=_parse_number(obj, "electrical_power", path, errors, 0.0),
-                uvc_efficiency=_parse_number(obj, "uvc_efficiency", path, errors,
-                                             DEFAULT_UVC_EFFICIENCY),
-                emits_downward=_parse_bool(obj, "emits_downward", path, errors),
-            ))
-
-    sensors: List[SensorSpec] = []
-    if not isinstance(doc["sensors"], list):
-        errors.append("sensors: expected a list")
-    else:
-        for i, obj in enumerate(doc["sensors"]):
-            path = f"sensors[{i}]"
-            if not isinstance(obj, dict):
-                errors.append(f"{path}: expected an object")
-                continue
-            errors += _require_keys(obj, path, ("id", "kind", "position"),
-                                    ("aim", "fov_half_angle", "max_range", "hold_time"))
-            sensor_id = _parse_str(obj, "id", path, errors)
-            kind_raw = obj.get("kind")
-            try:
-                kind = SensorKind(kind_raw)
-            except ValueError:
-                errors.append(f"{path}.kind: expected one of "
-                              f"{[k.value for k in SensorKind]}, got {kind_raw!r}")
-                continue
-            aim = None
-            if "aim" in obj:
-                aim = _parse_point(obj["aim"], f"{path}.aim", errors)
-            sensors.append(SensorSpec(
-                id=sensor_id, kind=kind,
-                position=_parse_point(obj.get("position"), f"{path}.position", errors),
-                aim=aim,
-                fov_half_angle=_parse_number(obj, "fov_half_angle", path, errors),
-                max_range=_parse_number(obj, "max_range", path, errors),
-                hold_time=_parse_number(obj, "hold_time", path, errors, 0.0),
-            ))
-
-    zones: List[DeskZone] = []
-    if not isinstance(doc["desk_zones"], list):
-        errors.append("desk_zones: expected a list")
-    else:
-        for i, obj in enumerate(doc["desk_zones"]):
-            path = f"desk_zones[{i}]"
-            if not isinstance(obj, dict):
-                errors.append(f"{path}: expected an object")
-                continue
-            errors += _require_keys(obj, path, ("desk_id", "center"),
-                                    ("exclusion_radius", "has_desk_lamp"))
-            zones.append(DeskZone(
-                desk_id=_parse_str(obj, "desk_id", path, errors),
-                center=_parse_point(obj.get("center"), f"{path}.center", errors),
-                exclusion_radius=_parse_number(obj, "exclusion_radius", path, errors, 2.0),
-                has_desk_lamp=_parse_bool(obj, "has_desk_lamp", path, errors, False),
-            ))
-
-    door = _parse_point(doc.get("door"), "door", errors)
-    if errors:
-        raise RoomConfigError(errors)
-
-    model = RoomModel(width=width, length=length, ceiling_height=height,
-                      lamps=tuple(lamps), sensors=tuple(sensors),
-                      desk_zones=tuple(zones), door_position=door)
     problems = validate(model)
     if problems:
         raise RoomConfigError(problems)
@@ -529,13 +572,7 @@ def load_room(text: str) -> RoomModel:
     Raises RoomConfigError naming the offending line or field on any parse
     problem, unknown key, or validation violation.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RoomConfigError(
-            [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
-        ) from exc
-    return room_from_dict(doc)
+    return room_from_dict(read_json(text, "room", RoomConfigError))
 
 
 def _point_to_list(p: Point3) -> list:

@@ -6,20 +6,27 @@ structural outcomes (cycle counts, interrupt ordering, lamp budgets) are
 stable facts rather than statistics. Noisy variants belong in randomized
 tests, not here.
 
-Scenario files are strict JSON: unknown keys are rejected and every error
-names the offending path.
+Scenario files are strict JSON, read with the field readers of
+:mod:`uvcguard.room`: unknown keys, wrong types and non-finite numbers are
+rejected and every error names the offending path. The ``policy``,
+``fusion`` and ``noise`` objects take their schema from the CyclePolicy,
+FusionParams and NoiseParams dataclasses.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .controller import CyclePolicy, POLICY_FIELDS, policy_from_dict, policy_to_dict
+from .controller import CyclePolicy
 from .fusion import FusionParams
-from .room import Point3, RoomModel, default_room, room_from_dict, room_to_dict
+from .room import (Point3, RoomConfigError, RoomModel, default_room,
+                   params_from_dict, read_bool, read_int, read_json, read_keys,
+                   read_list, read_number, read_numbers, read_object, read_str,
+                   room_from_dict, room_to_dict)
 from .simulator import (NoiseParams, OccupantScript, Scenario, ScenarioError,
                         Waypoint, validate_scenario)
 
@@ -277,159 +284,87 @@ def _random_visit(rng: random.Random, room: RoomModel, occupant_id: str,
 # scenario files
 # ---------------------------------------------------------------------------
 
-FUSION_FIELDS = ("pir_hold", "us_hold", "ble_ref_rssi_1m",
-                 "ble_path_loss_exponent", "approach_radius", "ble_stale_after")
-NOISE_FIELDS = ("rssi_sigma_db", "pir_miss_prob", "false_positive_rate_per_hour")
-
 _SCENARIO_REQUIRED = ("name", "room", "occupants", "start_iso8601", "duration_s")
 _SCENARIO_OPTIONAL = ("policy", "fusion", "tick_s", "seed", "noise",
                       "assume_vacant_at_start", "unsafe_force_on")
 
 
-def _params_from_dict(doc, fields: Tuple[str, ...], cls, path: str,
-                      errors: List[str]):
-    if not isinstance(doc, dict):
-        errors.append(f"{path}: expected an object")
-        return cls()
-    unknown = set(doc) - set(fields)
-    if unknown:
-        errors.append(f"{path}: unexpected keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in doc.items():
-        if key not in fields:
-            continue
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{path}.{key}: expected a number")
-        else:
-            kwargs[key] = float(value)
+def _waypoint(row, path: str, errors: List[str]) -> Optional[Waypoint]:
+    ok = isinstance(row, list) and len(row) == 5 and isinstance(row[4], bool)
+    txyz = read_numbers(row[:4] if ok else None, 4, path, errors,
+                        "[t, x, y, z, inside]")
+    if txyz is None:
+        return None
+    t, x, y, z = txyz
+    return Waypoint(t=t, position=Point3(x, y, z), inside_room=row[4])
+
+
+def _occupant(obj, path: str, errors: List[str]) -> Optional[OccupantScript]:
+    if not read_keys(obj, path, errors, ("id", "waypoints"), ("carries_beacon",)):
+        return None
+    occupant_id = read_str(obj, "id", path, errors)
+    waypoints = read_list(obj["waypoints"], f"{path}.waypoints", errors,
+                          _waypoint, non_empty=True)
+    if not occupant_id or not waypoints:
+        return None
+    return OccupantScript(
+        occupant_id=occupant_id,
+        carries_beacon=read_bool(obj, "carries_beacon", path, errors, False),
+        waypoints=tuple(waypoints))
+
+
+def _span(span, path: str, errors: List[str]) -> Optional[Tuple[float, ...]]:
+    return read_numbers(span, 2, path, errors, "[start_s, end_s]")
+
+
+def _start_time(doc: dict, errors: List[str]) -> float:
+    text = read_str(doc, "start_iso8601", "", errors)
+    if not text:
+        return 0.0
     try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        errors.append(f"{path}: {exc}")
-        return cls()
+        start = datetime.fromisoformat(text)
+    except ValueError:
+        errors.append(f"start_iso8601: cannot parse {text!r}")
+        return 0.0
+    if start.tzinfo is None:
+        start = start.replace(tzinfo=timezone.utc)
+    return start.timestamp()
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError(["scenario: expected an object"])
-    errors: List[str] = []
-    allowed = set(_SCENARIO_REQUIRED) | set(_SCENARIO_OPTIONAL)
-    unknown = set(doc) - allowed
-    if unknown:
-        errors.append(f"scenario: unexpected keys {sorted(unknown)}")
-    for key in _SCENARIO_REQUIRED:
-        if key not in doc:
-            errors.append(f"scenario: missing key {key!r}")
-    if errors:
-        raise ScenarioError(errors)
+    """Build a validated Scenario from a parsed scenario file.
 
-    from .room import RoomConfigError
+    The ``policy``, ``fusion`` and ``noise`` objects take exactly the fields
+    of CyclePolicy, FusionParams and NoiseParams. Raises ScenarioError
+    listing every problem found.
+    """
+    errors: List[str] = []
+    if not read_keys(doc, "scenario", errors, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL):
+        raise ScenarioError(errors)
     try:
         room = room_from_dict(doc["room"])
     except RoomConfigError as exc:
-        raise ScenarioError([f"room: {e}" for e in exc.errors]) from None
+        raise ScenarioError(errors + [f"room: {e}" for e in exc.errors]) from None
 
-    try:
-        policy = policy_from_dict(doc.get("policy", {}))
-    except ValueError as exc:
-        errors.append(str(exc))
-        policy = CyclePolicy()
-    fusion = _params_from_dict(doc.get("fusion", {}), FUSION_FIELDS,
-                               FusionParams, "fusion", errors)
-    noise = _params_from_dict(doc.get("noise", {}), NOISE_FIELDS,
-                              NoiseParams, "noise", errors)
-
-    try:
-        start = datetime.fromisoformat(str(doc["start_iso8601"]))
-        if start.tzinfo is None:
-            start = start.replace(tzinfo=timezone.utc)
-        start_epoch = start.timestamp()
-    except ValueError:
-        errors.append(f"start_iso8601: cannot parse {doc['start_iso8601']!r}")
-        start_epoch = 0.0
-
-    def number(key: str, default: float) -> float:
-        value = doc.get(key, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{key}: expected a number")
-            return default
-        return float(value)
-
-    duration = number("duration_s", 0.0)
-    tick = number("tick_s", 0.1)
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append("seed: expected an integer")
-        seed = 0
-    vacant = doc.get("assume_vacant_at_start", False)
-    if not isinstance(vacant, bool):
-        errors.append("assume_vacant_at_start: expected a boolean")
-        vacant = False
-
-    occupants: List[OccupantScript] = []
-    raw_occupants = doc["occupants"]
-    if not isinstance(raw_occupants, list):
-        errors.append("occupants: expected a list")
-        raw_occupants = []
-    for i, raw in enumerate(raw_occupants):
-        path = f"occupants[{i}]"
-        if not isinstance(raw, dict):
-            errors.append(f"{path}: expected an object")
-            continue
-        unknown = set(raw) - {"id", "carries_beacon", "waypoints"}
-        if unknown:
-            errors.append(f"{path}: unexpected keys {sorted(unknown)}")
-        occ_id = raw.get("id")
-        if not isinstance(occ_id, str) or not occ_id:
-            errors.append(f"{path}.id: expected a non-empty string")
-            continue
-        beacon = raw.get("carries_beacon", False)
-        if not isinstance(beacon, bool):
-            errors.append(f"{path}.carries_beacon: expected a boolean")
-            beacon = False
-        wps: List[Waypoint] = []
-        for j, row in enumerate(raw.get("waypoints", [])):
-            if (not isinstance(row, list) or len(row) != 5
-                    or not all(isinstance(v, (int, float)) for v in row[:4])
-                    or not isinstance(row[4], bool)):
-                errors.append(f"{path}.waypoints[{j}]: expected "
-                              "[t, x, y, z, inside]")
-                continue
-            wps.append(Waypoint(t=float(row[0]),
-                                position=Point3(float(row[1]), float(row[2]),
-                                                float(row[3])),
-                                inside_room=bool(row[4])))
-        if not wps:
-            errors.append(f"{path}.waypoints: expected a non-empty list")
-            continue
-        occupants.append(OccupantScript(occupant_id=occ_id,
-                                        carries_beacon=beacon,
-                                        waypoints=tuple(wps)))
-
-    force_on: Dict[str, Tuple[Tuple[float, float], ...]] = {}
-    raw_force = doc.get("unsafe_force_on", {})
-    if not isinstance(raw_force, dict):
-        errors.append("unsafe_force_on: expected an object")
-        raw_force = {}
-    for lamp_id, spans in raw_force.items():
-        parsed = []
-        for j, span in enumerate(spans if isinstance(spans, list) else []):
-            if (not isinstance(span, list) or len(span) != 2
-                    or not all(isinstance(v, (int, float)) for v in span)):
-                errors.append(f"unsafe_force_on[{lamp_id!r}][{j}]: "
-                              "expected [start_s, end_s]")
-                continue
-            parsed.append((float(span[0]), float(span[1])))
-        force_on[lamp_id] = tuple(parsed)
-
+    scenario = Scenario(
+        name=read_str(doc, "name", "", errors), room=room,
+        policy=params_from_dict(doc.get("policy", {}), CyclePolicy, "policy", errors),
+        fusion=params_from_dict(doc.get("fusion", {}), FusionParams, "fusion", errors),
+        occupants=tuple(read_list(doc["occupants"], "occupants", errors, _occupant)),
+        start_time=_start_time(doc, errors),
+        duration=read_number(doc, "duration_s", "", errors, 0.0),
+        tick=read_number(doc, "tick_s", "", errors, 0.1),
+        seed=read_int(doc, "seed", "", errors),
+        noise=params_from_dict(doc.get("noise", {}), NoiseParams, "noise", errors),
+        assume_vacant_at_start=read_bool(doc, "assume_vacant_at_start", "",
+                                         errors, False),
+        unsafe_force_on={
+            lamp_id: tuple(read_list(spans, f"unsafe_force_on[{lamp_id!r}]",
+                                     errors, _span))
+            for lamp_id, spans in read_object(doc, "unsafe_force_on", "",
+                                              errors).items()})
     if errors:
         raise ScenarioError(errors)
-
-    scenario = Scenario(name=str(doc["name"]), room=room, policy=policy,
-                        fusion=fusion, occupants=tuple(occupants),
-                        start_time=start_epoch, duration=duration, tick=tick,
-                        seed=seed, noise=noise, assume_vacant_at_start=vacant,
-                        unsafe_force_on=force_on)
     problems = validate_scenario(scenario)
     if problems:
         raise ScenarioError(problems)
@@ -437,20 +372,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(text: str) -> Scenario:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError([f"scenario parse error at line {exc.lineno}, "
-                             f"column {exc.colno}: {exc.msg}"]) from None
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_json(text, "scenario", ScenarioError))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     doc = {
         "name": scenario.name,
         "room": room_to_dict(scenario.room),
-        "policy": policy_to_dict(scenario.policy),
-        "fusion": {k: getattr(scenario.fusion, k) for k in FUSION_FIELDS},
+        "policy": dataclasses.asdict(scenario.policy),
+        "fusion": dataclasses.asdict(scenario.fusion),
         "occupants": [
             {"id": occ.occupant_id, "carries_beacon": occ.carries_beacon,
              "waypoints": [[w.t, w.position.x, w.position.y, w.position.z,
@@ -462,7 +392,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "duration_s": scenario.duration,
         "tick_s": scenario.tick,
         "seed": scenario.seed,
-        "noise": {k: getattr(scenario.noise, k) for k in NOISE_FIELDS},
+        "noise": dataclasses.asdict(scenario.noise),
         "assume_vacant_at_start": scenario.assume_vacant_at_start,
     }
     if scenario.unsafe_force_on:

@@ -33,7 +33,7 @@ from .fusion import (BleAdvert, FusionParams, OccupancyFusion, Payload,
                      sort_events)
 from .room import (ID_PATTERN, LampSpec, LampTier, Point3, RoomModel,
                    SensorKind, SensorSpec, angle_between_deg,
-                   validate as validate_room)
+                   require_finite, validate as validate_room)
 
 PIR_SPEED_THRESHOLD = 0.1      # m/s; slower targets look stationary to a PIR
 BLE_ADVERT_PERIOD = 1.0        # s between beacon advertisements
@@ -114,6 +114,9 @@ class NoiseParams:
     pir_miss_prob: float = 0.0
     false_positive_rate_per_hour: float = 0.5
 
+    def __post_init__(self) -> None:
+        require_finite(self)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -147,35 +150,48 @@ class ScenarioError(ValueError):
 
 def validate_scenario(sc: Scenario) -> List[str]:
     problems = list(validate_room(sc.room))
+    # the CLI names a run's output directory after its scenario
+    if not ID_PATTERN.fullmatch(sc.name) or sc.name in (".", ".."):
+        problems.append(f"name {sc.name!r} must match {ID_PATTERN.pattern} "
+                        "and not be '.' or '..'")
     if not 0.0 < sc.tick <= 1.0:
         problems.append(f"tick must be in (0, 1] seconds, got {sc.tick}")
-    if sc.duration <= 0.0:
-        problems.append("duration must be > 0")
+    if not 0.0 < sc.duration < math.inf:
+        problems.append("duration must be finite and > 0")
     if sc.policy.reaction_deadline and sc.tick > max(sc.policy.reaction_deadline, 1e-9):
         problems.append("tick must not exceed the reaction deadline")
+    occupant_ids: Set[str] = set()
     for occ in sc.occupants:
+        where = f"occupant {occ.occupant_id!r}"
         if not ID_PATTERN.fullmatch(occ.occupant_id):
-            problems.append(f"occupant {occ.occupant_id!r}: id must match "
-                            f"{ID_PATTERN.pattern}")
+            problems.append(f"{where}: id must match {ID_PATTERN.pattern}")
+        # the safety audit keys entry times and doses by occupant id
+        if occ.occupant_id in occupant_ids:
+            problems.append(f"{where}: duplicate id")
+        occupant_ids.add(occ.occupant_id)
         if not occ.waypoints:
-            problems.append(f"occupant {occ.occupant_id!r}: needs waypoints")
+            problems.append(f"{where}: needs waypoints")
             continue
         prev_t = -math.inf
         for i, wp in enumerate(occ.waypoints):
-            if wp.t <= prev_t:
-                problems.append(f"occupant {occ.occupant_id!r}: waypoint {i} "
+            p = wp.position
+            if not all(map(math.isfinite, (wp.t, p.x, p.y, p.z))):
+                problems.append(f"{where}: waypoint {i} must be finite")
+                break
+            if not wp.t > prev_t:
+                problems.append(f"{where}: waypoint {i} "
                                 "timestamps must strictly increase")
                 break
             prev_t = wp.t
             if wp.inside_room and not sc.room.contains(wp.position):
-                problems.append(f"occupant {occ.occupant_id!r}: waypoint {i} "
+                problems.append(f"{where}: waypoint {i} "
                                 "flagged inside but lies outside the room box")
     lamp_ids = {l.id for l in sc.room.lamps}
     for lamp_id, spans in sc.unsafe_force_on.items():
         if lamp_id not in lamp_ids:
             problems.append(f"unsafe_force_on: unknown lamp {lamp_id!r}")
         for start, end in spans:
-            if end < start:
+            if not -math.inf < start <= end < math.inf:
                 problems.append(f"unsafe_force_on[{lamp_id!r}]: bad interval")
     return problems
 

@@ -186,6 +186,39 @@ def test_validate_needs_exactly_one_target(tmp_path, capsys):
                  "--scenario", str(room)]) == EXIT_INPUT_ERROR
 
 
+def test_written_scenario_reads_back(tmp_path, capsys):
+    assert main(["simulate", "--scenario", "fuzz:1",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    written = tmp_path / "fuzz_1" / "scenario.json"
+    assert main(["validate", "--scenario", str(written)]) == EXIT_OK
+    assert "ok (scenario 'fuzz_1'" in capsys.readouterr().out
+
+
+def test_non_finite_settings_are_input_errors(tmp_path, capsys):
+    doc = scenario_to_dict(scenario_d())
+    doc["fusion"]["pir_hold"] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))   # json writes the NaN literal
+    assert main(["simulate", "--scenario", str(bad),
+                 "--out", str(tmp_path / "out")]) == EXIT_INPUT_ERROR
+    assert "fusion.pir_hold: expected a number" in capsys.readouterr().err
+    assert main(["simulate", "--scenario", "fuzz:1", "--tz-offset", "nan",
+                 "--out", str(tmp_path / "out")]) == EXIT_INPUT_ERROR
+    assert "tz_offset must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_name_cannot_leave_the_output_directory(tmp_path, capsys):
+    doc = scenario_to_dict(scenario_a())
+    doc["name"] = "../escaped"
+    esc = tmp_path / "esc.json"
+    esc.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(esc),
+                 "--out", str(tmp_path / "outs" / "base")]) == EXIT_INPUT_ERROR
+    assert "'../escaped' must match" in capsys.readouterr().err
+    assert not (tmp_path / "outs").exists()
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ isolation from the sensor models.
 """
 
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from uvcguard.controller import (
 from uvcguard.fusion import (FusionParams, OccupancySnapshot, PirMotion,
                              SensorEvent)
 from uvcguard.room import default_room
-from uvcguard.simulator import Scenario, replay
+from uvcguard.simulator import NoiseParams, Scenario, replay
 
 ROOM = default_room()
 POLICY = CyclePolicy()
@@ -88,6 +89,16 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         CyclePolicy(ceiling_cycle=0.0)
     CyclePolicy(reaction_deadline=0.0)   # the strictest setting is legal
+
+
+@pytest.mark.parametrize("cls, name", [
+    (CyclePolicy, "ceiling_cycle"), (CyclePolicy, "tz_offset"),
+    (FusionParams, "pir_hold"), (FusionParams, "ble_ref_rssi_1m"),
+    (NoiseParams, "pir_miss_prob")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_values(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**{name: value})
 
 
 def test_policy_round_trip():

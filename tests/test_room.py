@@ -162,6 +162,27 @@ def test_validate_flags_overlapping_zone_centers():
     assert any("contains the center" in p for p in problems)
 
 
+def test_validate_rejects_non_finite_sensor_settings():
+    room = default_room()
+    for bad in ({"hold_time": math.nan}, {"hold_time": math.inf},
+                {"aim": Point3(math.nan, 0.0, 0.0)},
+                {"aim": Point3(math.inf, 1.0, 0.0)}):
+        sensors = (dataclasses.replace(room.sensors[0], **bad),) + room.sensors[1:]
+        problems = validate(dataclasses.replace(room, sensors=sensors))
+        assert len(problems) == 1 and "must be finite" in problems[0], bad
+
+
+def test_load_room_rejects_non_finite_numbers():
+    doc = room_to_dict(default_room())
+    doc["sensors"][0]["hold_time"] = math.nan
+    doc["lamps"][0]["position"][0] = math.inf
+    with pytest.raises(RoomConfigError) as exc_info:
+        load_room(json.dumps(doc))
+    assert exc_info.value.errors == [
+        "lamps[0].position: expected [x, y, z] numbers",
+        "sensors[0].hold_time: expected a number"]
+
+
 def test_room_dict_round_trip():
     room = default_room()
     doc = room_to_dict(room)

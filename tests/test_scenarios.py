@@ -1,7 +1,9 @@
 """Bundled scenarios: anchors, determinism, file format round-trips."""
 
+import copy
 import dataclasses
 import json
+import math
 from datetime import datetime, timezone
 
 import pytest
@@ -195,7 +197,7 @@ def test_force_on_errors():
 def test_room_errors_carry_a_room_prefix():
     doc = base_doc()
     del doc["room"]["door"]
-    assert errors_from(doc) == ["room: config.door: missing"]
+    assert errors_from(doc) == ["room: config: missing key 'door'"]
 
 
 def test_parsed_scenarios_still_pass_semantic_validation():
@@ -212,3 +214,87 @@ def test_json_syntax_errors_name_line_and_column():
         load_scenario('{"name": "x",}')
     assert info.value.errors[0].startswith(
         "scenario parse error at line 1, column 14")
+
+
+# ---------------------------------------------------------------------------
+# values that used to slip through
+# ---------------------------------------------------------------------------
+
+def test_non_finite_numbers_are_rejected():
+    # a NaN PIR hold never asserts motion, which left scenario D's visitor
+    # exposed on 624 ticks
+    doc = scenario_to_dict(scenario_d())
+    doc["fusion"]["pir_hold"] = math.nan
+    assert errors_from(doc) == ["fusion.pir_hold: expected a number"]
+    with pytest.raises(ScenarioError, match="fusion.pir_hold"):
+        load_scenario(json.dumps(doc))
+    doc = scenario_to_dict(scenario_d())
+    doc["occupants"][0]["waypoints"][1][0] = math.inf
+    assert errors_from(doc) == [
+        "occupants[0].waypoints[1]: expected [t, x, y, z, inside]"]
+    doc = scenario_to_dict(scenario_d())
+    doc["duration_s"] = 10 ** 400
+    assert errors_from(doc) == ["duration_s: expected a number"]
+
+
+def test_scenario_name_must_be_a_safe_directory_name():
+    for name in ("../escaped", "..", "a/b", ""):
+        doc = base_doc()
+        doc["name"] = name
+        assert len(errors_from(doc)) == 1
+    doc = base_doc()
+    doc["name"] = {"a": 1}
+    assert errors_from(doc) == ["name: expected a non-empty string"]
+
+
+def test_non_list_sequences_are_reported():
+    doc = base_doc()
+    doc["occupants"][0]["waypoints"] = 5
+    assert errors_from(doc) == [
+        "occupants[0].waypoints: expected a non-empty list"]
+    doc = base_doc()
+    doc["unsafe_force_on"] = {"ceiling_1": 5}
+    assert errors_from(doc) == ["unsafe_force_on['ceiling_1']: expected a list"]
+
+
+def test_unknown_keys_do_not_hide_other_errors():
+    doc = base_doc()
+    doc["bogus"] = 1
+    doc["seed"] = "s"
+    doc["policy"] = {"bogus": 1, "tz_offset": True}
+    assert errors_from(doc) == ["scenario: unexpected keys ['bogus']",
+                                "policy: unexpected keys ['bogus']",
+                                "policy.tz_offset: expected a number",
+                                "seed: expected an integer"]
+
+
+def _paths(node, path=()):
+    """Every node below the root, visiting at most three items of a list."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node[:3]) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def test_parsers_raise_only_their_own_errors():
+    forced = dataclasses.replace(
+        scenario_b(), unsafe_force_on={"ceiling_1": ((405.0, 430.0),)})
+    doc = scenario_to_dict(forced)
+    paths = list(_paths(doc))
+    assert len(paths) == 146
+    for path in paths:
+        for value in (math.nan, math.inf, True, "x", [], {}, None, 5, -1.0):
+            mutated = copy.deepcopy(doc)
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            try:
+                sc = scenario_from_dict(mutated)
+            except ScenarioError:
+                continue
+            # strict JSON has no NaN or Infinity: allow_nan=False raises on
+            # them, and a number the writer leaves out breaks the round trip
+            text = json.dumps(scenario_to_dict(sc), allow_nan=False)
+            assert load_scenario(text) == sc, (path, value)

@@ -17,7 +17,7 @@ from uvcguard.dosimetry import DoseGrid, accumulate_dose, irradiance_at_point
 from uvcguard.fusion import (BleAdvert, FusionParams, distance_to_rssi,
                              read_event_log, write_event_log)
 from uvcguard.room import Point3, SensorKind, default_room
-from uvcguard.scenarios import random_walk_scenario
+from uvcguard.scenarios import random_walk_scenario, scenario_d
 from uvcguard.simulator import (
     CHEST_HEIGHT,
     NoiseParams,
@@ -198,6 +198,20 @@ def test_validate_scenario_rejects_bad_force_windows():
     assert any("bad interval" in p for p in validate_scenario(sc))
 
 
+def test_validate_scenario_rejects_non_finite_values():
+    sc = make_scenario([seated()])
+    for bad in (math.nan, math.inf):
+        assert validate_scenario(dataclasses.replace(sc, duration=bad)) == [
+            "duration must be finite and > 0"]
+        script = OccupantScript("o", False, (wp(0.0, 1, 1), wp(bad, 2, 2)))
+        assert validate_scenario(make_scenario([script])) == [
+            "occupant 'o': waypoint 1 must be finite"]
+        forced = make_scenario([seated()],
+                               unsafe_force_on={"ceiling_1": ((0.0, bad),)})
+        assert validate_scenario(forced) == [
+            "unsafe_force_on['ceiling_1']: bad interval"]
+
+
 def test_simulate_raises_on_invalid_scenario():
     sc = dataclasses.replace(make_scenario([seated()]), duration=-1.0)
     with pytest.raises(ScenarioError):
@@ -216,6 +230,26 @@ def test_ids_the_csv_logs_cannot_carry_are_rejected():
     sc = make_scenario([seated()], room=dataclasses.replace(ROOM, lamps=lamps))
     with pytest.raises(ScenarioError, match="'desk 2': id must match"):
         simulate(sc)
+
+
+def test_duplicate_occupant_ids_are_rejected():
+    # a bystander in the corridor sharing the visitor's id reset the
+    # visitor's entry clock every tick and hid the forced exposure
+    d = scenario_d()
+    forced = dataclasses.replace(
+        d, duration=500.0, unsafe_force_on={"ceiling_1": ((405.0, 430.0),)})
+
+    def with_bystander(occupant_id):
+        bystander = OccupantScript(occupant_id, False, (
+            wp(0.0, 2.15, -20.0, 1.1, inside=False),
+            wp(7200.0, 2.15, -20.0, 1.1, inside=False)))
+        return dataclasses.replace(forced, occupants=d.occupants + (bystander,))
+
+    assert simulate(with_bystander("bystander")).safety.violation_count > 0
+    twin = with_bystander("visitor_1")
+    assert validate_scenario(twin) == ["occupant 'visitor_1': duplicate id"]
+    with pytest.raises(ScenarioError, match="duplicate id"):
+        simulate(twin)
 
 
 # ---------------------------------------------------------------------------
