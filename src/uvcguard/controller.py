@@ -18,16 +18,19 @@ Priorities, highest first:
 6. At local midnight, if vacant, one full cycle runs and the controller
    disarms; only renewed occupancy rearms it, which keeps empty days dark.
 
-The controller has no loop of its own. ``uvcguard.simulator`` steps it once
-per tick from a single control step shared by ``simulate`` and ``replay``,
-so replaying a run's event log reproduces its command log by construction.
+The controller has no loop of its own. ``uvcguard.simulator`` steps it from
+a single control step shared by ``simulate`` and ``replay``, so replaying a
+run's event log reproduces its command log by construction. While the fused
+picture is quiet (no motion, no occupied desk zone), a step on an unchanged
+snapshot does nothing until ``next_due_at``: the control step skips the
+ticks before it, and before the next change of the snapshot.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from datetime import datetime, timezone, date
+from datetime import datetime, timedelta, timezone, date
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -221,8 +224,10 @@ def _local_date(now: float, tz_offset: float) -> date:
 
 def step(state: ControllerState, snapshot: OccupancySnapshot, now: float,
          policy: CyclePolicy) -> Tuple[ControllerState, List[LampCommand]]:
-    """Advance the controller one step; must be called at least once per
-    ``reaction_deadline``. Returns the state and the commands to apply."""
+    """Advance the controller one step; must be called at every tick where
+    its inputs change or ``next_due_at`` falls, and on every tick while the
+    snapshot shows motion or an occupied desk zone. Returns the state and
+    the commands to apply."""
     commands: List[LampCommand] = []
     roster = state.roster
 
@@ -342,3 +347,35 @@ def step(state: ControllerState, snapshot: OccupancySnapshot, now: float,
 
     state.prev_presence = presence
     return state, commands
+
+
+def next_due_at(state: ControllerState, policy: CyclePolicy,
+                after: float) -> float:
+    """Earliest time after a step at ``after`` at which a rule of ``step``
+    can fire on the same quiet snapshot (no motion, no occupied desk zone):
+    a running lamp's end, the vacancy grace, a desk quiet gap, the next
+    upper-room slot or the next local midnight. Before it, stepping that
+    snapshot again returns no commands and leaves the state equal."""
+    if state.manual_killed:
+        return float("inf")
+    due = [ends_at for _, ends_at in state.running.values()]
+    due.append(state.next_upper_room_at)
+    today = _local_date(after, policy.tz_offset)
+    if today < date.max:
+        # datetime rounds timestamps to the microsecond, so the date can
+        # turn half a microsecond early
+        midnight = datetime.combine(today + timedelta(days=1),
+                                    datetime.min.time(), timezone.utc)
+        due.append(midnight.timestamp() - policy.tz_offset - 1e-6)
+    if not state.armed:
+        return min(due)
+    if state.last_room_vacated_at is not None and not state.post_departure_cycle_done:
+        due.append(state.last_room_vacated_at + policy.vacancy_grace)
+    for lamp_id, zone_id in state.roster.desk_lamp_zone.items():
+        seen = [t for t in (state.zone_last_seen.get(zone_id),
+                            state.motion_last_seen) if t is not None]
+        started = state.desk_last_started.get(lamp_id)
+        if (lamp_id not in state.running and seen
+                and (started is None or started < max(seen))):
+            due.append(max(seen) + policy.desk_quiet_gap)
+    return min(due)

@@ -139,7 +139,9 @@ class OccupancyFusion:
     """Single-owner fusion state: ingest events, then read snapshots.
 
     ``snapshot(now)`` is a pure function of the ingested event log and
-    ``now``; it does not mutate state.
+    ``now``. The one state it touches is ``ingested``, which ``ingest``
+    sets and ``snapshot`` clears, so a caller can tell whether events
+    arrived since its last snapshot.
     """
 
     def __init__(self, room: RoomModel, params: Optional[FusionParams] = None):
@@ -159,6 +161,7 @@ class OccupancyFusion:
         self._last_motion_time: Optional[float] = None
         self._source_until: Dict[str, float] = {}
         self.anomalies: List[Tuple[float, str, str]] = []
+        self.ingested = False
 
     # -- ingestion ---------------------------------------------------------
 
@@ -168,6 +171,7 @@ class OccupancyFusion:
                 f"event from {event.source!r} at t={event.timestamp} arrived "
                 f"after t={self._latest_ts}")
         self._latest_ts = event.timestamp
+        self.ingested = True
         ts = event.timestamp
         p = event.payload
         params = self.params
@@ -223,6 +227,7 @@ class OccupancyFusion:
         if now < self._latest_ts:
             raise EventOrderError(
                 f"snapshot at t={now} precedes ingested event at t={self._latest_ts}")
+        self.ingested = False
         motion = now < self._motion_until or now < self._misc_until
         zones = {zone_id: now < until for zone_id, until in self._zone_until.items()}
         contributing = sorted(
@@ -241,6 +246,16 @@ class OccupancyFusion:
             last_motion_time=self._last_motion_time,
             contributing_sources=tuple(contributing),
         )
+
+    def next_change_at(self, now: float) -> float:
+        """Earliest end after ``now`` of a hold window that the controller
+        reads (motion, anomaly, each desk zone, approach): without new
+        events, those fields of ``snapshot(t)`` stay as they are at ``now``
+        for every t before it."""
+        return min((until for until in (self._motion_until, self._misc_until,
+                                         self._approach_until,
+                                         *self._zone_until.values())
+                    if until > now), default=math.inf)
 
 
 def _aimed_zone(room: RoomModel, sensor: SensorSpec) -> Optional[str]:

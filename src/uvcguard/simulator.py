@@ -13,6 +13,18 @@ The tick grid, the control step, the lamp-state rule and the audited
 occupant stepper each live in one place below. simulate() drives all four,
 replay() the first two, and safety_check() all but the control step.
 
+Time advances to the next event where nothing can happen in between. The
+control step snapshots fusion and steps the controller only at tick 0,
+after an ingest, after a snapshot with motion or an occupied desk zone, and
+at the first tick at or after the next hold-window expiry or controller
+rule due (``next_change_at``, ``next_due_at``); on every other tick a step
+would return nothing. simulate() also crosses a span of such ticks in one
+jump while nobody is inside or moving, no sensor latch is open and no lamp
+is forced on, up to the next waypoint, PIR false positive or BLE advert;
+the jump writes the probe rows the skipped ticks would have written.
+replay() jumps to the next control tick or event. The output is the same
+byte for byte as stepping every tick.
+
 Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 """
 
@@ -25,7 +37,7 @@ from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
 from .controller import (ControllerState, CyclePolicy, LampAction,
-                         LampCommand, LampRoster, step)
+                         LampCommand, LampRoster, next_due_at, step)
 from .dosimetry import (DoseGrid, LampOnIntervals, accumulate_dose,
                         irradiance_at_point)
 from .fusion import (BleAdvert, FusionParams, OccupancyFusion, Payload,
@@ -40,6 +52,7 @@ BLE_ADVERT_PERIOD = 1.0        # s between beacon advertisements
 CHEST_HEIGHT = 1.1             # m; exposure accounting plane
 PROBE_HEIGHT = 0.7             # m; desk-level virtual radiometers
 MAX_RECORDED_VIOLATIONS = 10000
+MAX_TICKS = 2_000_000          # about 180 MB of probe rows
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +113,16 @@ class _OccupantTracker:
                      a.position.z + frac * (b.position.z - a.position.z))
         return pos, a.inside_room
 
+    def parked_until(self) -> float:
+        """Script time up to which the position stays as at the last ``at``
+        call: the next waypoint, inf past the last one, -inf while moving."""
+        i = self.index
+        if i + 1 >= len(self.wps):
+            return math.inf
+        if self.wps[i].position != self.wps[i + 1].position:
+            return -math.inf
+        return self.times[i + 1]
+
 
 # ---------------------------------------------------------------------------
 # scenario
@@ -158,6 +181,11 @@ def validate_scenario(sc: Scenario) -> List[str]:
         problems.append(f"tick must be in (0, 1] seconds, got {sc.tick}")
     if not 0.0 < sc.duration < math.inf:
         problems.append("duration must be finite and > 0")
+    elif 0.0 < sc.tick <= 1.0:
+        count = int(round(sc.duration / sc.tick))
+        if not 1 <= count <= MAX_TICKS:
+            problems.append(f"duration / tick gives {count} ticks; "
+                            f"it must be in [1, {MAX_TICKS}]")
     if sc.policy.reaction_deadline and sc.tick > max(sc.policy.reaction_deadline, 1e-9):
         problems.append("tick must not exceed the reaction deadline")
     occupant_ids: Set[str] = set()
@@ -483,22 +511,48 @@ class _TickGrid:
     def time(self, k: int) -> float:
         return self.start + k * self.tick
 
+    def first_at(self, t: float) -> int:
+        """The first tick k with time(k) >= t, or count if there is none."""
+        if not t < self.time(self.count):
+            return self.count
+        k = math.ceil(max(0.0, (t - self.start) / self.tick))
+        while k > 0 and self.time(k - 1) >= t:
+            k -= 1
+        while self.time(k) < t:
+            k += 1
+        return k
+
 
 class _Control:
     """Fusion and controller of one run: events go into ``fusion`` as they
-    happen, and ``decide`` steps the controller on each tick's snapshot."""
+    happen, and ``decide`` steps the controller on a tick's snapshot when
+    the step can do something. ``next_k`` is the next tick that must step
+    even if no event arrives before it."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, ticks: _TickGrid):
         start = scenario.start_time
         self.fusion = OccupancyFusion(scenario.room, scenario.fusion)
         self.policy = scenario.policy
+        self.ticks = ticks
+        self.next_k = 0
         self.state = ControllerState.initial(
             scenario.room, scenario.policy, start,
             assume_vacant_since=start if scenario.assume_vacant_at_start else None)
 
-    def decide(self, t: float) -> List[LampCommand]:
-        self.state, commands = step(self.state, self.fusion.snapshot(t), t,
-                                    self.policy)
+    def decide(self, k: int, t: float) -> List[LampCommand]:
+        fusion = self.fusion
+        if k < self.next_k and not fusion.ingested:
+            return []
+        snapshot = fusion.snapshot(t)
+        self.state, commands = step(self.state, snapshot, t, self.policy)
+        if snapshot.room_occupied:
+            # step stamps motion and zone recency with ``t`` on such ticks
+            self.next_k = k + 1
+        else:
+            # 1e-6 s early: the candidates carry rounding of a few ulps
+            self.next_k = self.ticks.first_at(min(
+                fusion.next_change_at(t),
+                next_due_at(self.state, self.policy, t) - 1e-6))
         return commands
 
 
@@ -567,6 +621,20 @@ class _Occupants:
         self.insides: List[bool] = [False] * len(self.ids)
         self._move_to(0.0)
 
+    def parked_until(self) -> float:
+        """Script time up to which nobody moves and everybody stays outside
+        the room; -inf if someone is inside or on the move."""
+        if any(self.insides):
+            return -math.inf
+        return min((tr.parked_until() for tr in self.trackers), default=math.inf)
+
+    def park(self) -> None:
+        """Stand still for ticks that parked_until() covers: each one moves
+        nobody and resets the audit's entry clocks, as advance() would."""
+        self.prev_positions = self.positions
+        for occupant_id in self.ids:
+            self.audit.entered_at[occupant_id] = None
+
     def _move_to(self, offset: float) -> None:
         positions: List[Optional[Point3]] = []
         insides: List[bool] = []
@@ -598,7 +666,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
     tick = ticks.tick
     rng = random.Random(scenario.seed)
     noise = scenario.noise
-    control = _Control(scenario)
+    control = _Control(scenario, ticks)
     fusion = control.fusion
     lamps = _LampState(scenario)
     occupants = _Occupants(scenario, ticks)
@@ -624,9 +692,26 @@ def simulate(scenario: Scenario) -> SimulationResult:
                         end_time=ticks.time(ticks.count), tick=tick,
                         probe_names=tuple(name for name, _ in probes))
     probe_values: Tuple[float, ...] = tuple(0.0 for _ in probes)
-    next_advert = ticks.start
+    # adverts matter only when someone carries a beacon
+    next_advert = ticks.start if beacon_indices else math.inf
 
-    for k in range(ticks.count):
+    k = 0
+    while k < ticks.count:
+        # -- jump over ticks where nothing can happen ------------------------
+        if k + 1 < control.next_k and not lamps.force_on and all(
+                ticks.time(k) >= until for until in latch_until.values()):
+            stop = min(control.next_k,
+                       ticks.first_at(ticks.start + occupants.parked_until()),
+                       ticks.first_at(min(next_fp.values(), default=math.inf)),
+                       ticks.first_at(next_advert - 1e-9))
+            if stop > k + 1:
+                # ticks k..stop-2 here, one append each so the list grows as
+                # in the tick loop; tick stop-1 runs the loop body, whose
+                # audit covers the move into tick stop
+                for i in range(k, stop - 1):
+                    timeline.probe_samples.append((ticks.time(i), probe_values))
+                occupants.park()
+                k = stop - 1
         t = ticks.time(k)
 
         # -- occupant kinematics -------------------------------------------
@@ -687,7 +772,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
                 timeline.events.append(event)
 
         # -- fuse, decide, actuate ------------------------------------------
-        commands = control.decide(t)
+        commands = control.decide(k, t)
         if commands:
             timeline.commands.extend(commands)
             for cmd in commands:
@@ -701,6 +786,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
         # -- accounting against the post-command lamp state -----------------
         timeline.probe_samples.append((t, probe_values))
         occupants.advance(k, t, lamps.on)
+        k += 1
 
     # the dose grid from on-durations counted in ticks: epoch differences
     # carry rounding of up to 2.4e-7 s per endpoint, tick indices none
@@ -721,15 +807,20 @@ def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampComman
     own event log reproduces its command log exactly."""
     events = sort_events(events)
     ticks = _TickGrid(scenario)
-    control = _Control(scenario)
+    control = _Control(scenario, ticks)
     commands: List[LampCommand] = []
     i = 0
-    for k in range(ticks.count):
+    k = 0
+    while k < ticks.count:
         t = ticks.time(k)
         while i < len(events) and events[i].timestamp <= t:
             control.fusion.ingest(events[i])
             i += 1
-        commands.extend(control.decide(t))
+        commands.extend(control.decide(k, t))
+        k += 1
+        if k < control.next_k:
+            next_event = events[i].timestamp if i < len(events) else math.inf
+            k = min(control.next_k, ticks.first_at(next_event))
     return commands
 
 

@@ -4,11 +4,12 @@ Snapshots are constructed directly so each rule can be exercised in
 isolation from the sensor models.
 """
 
+import copy
 import io
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uvcguard.controller import (
@@ -19,6 +20,7 @@ from uvcguard.controller import (
     LampAction,
     LampRoster,
     load_policy,
+    next_due_at,
     policy_from_dict,
     policy_to_dict,
     read_command_log,
@@ -389,6 +391,31 @@ def test_interlock_invariants_hold_for_any_stream(flag_seq, dt):
             assert "ceiling_2" not in state.running
         if s.motion_active or s.desk_zone_occupied["desk_2"]:
             assert "desk_2" not in state.running
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_flags, max_size=20), st.floats(0.1, 900.0),
+       st.floats(0.0, 86400.0), st.booleans(), st.booleans(),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.sampled_from([0.0, 19800.0, -18000.0]))
+def test_a_quiet_snapshot_does_nothing_before_next_due_at(
+        flag_seq, dt, start, approach, kill, frac, tz_offset):
+    policy = CyclePolicy(tz_offset=tz_offset)
+    t = MIDNIGHT - start
+    state = ControllerState.initial(ROOM, policy, t, assume_vacant_since=t)
+    for flags in flag_seq:
+        state, _ = step(state, snap(t, **flags), t, policy)
+        t += dt
+    quiet = snap(t, approach=approach, kill=kill)
+    state, _ = step(state, quiet, t, policy)
+    due = next_due_at(state, policy, t)
+    assert due > t
+    later = t + frac * (min(due, t + 2 * 86400.0) - t)
+    assume(t < later < due)
+    before = copy.deepcopy(state)
+    after, commands = step(state, quiet, later, policy)
+    assert commands == []
+    assert after == before
 
 
 # ---------------------------------------------------------------------------

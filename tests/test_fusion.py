@@ -4,7 +4,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uvcguard.fusion import (
@@ -232,6 +232,35 @@ def test_extra_events_never_flip_occupied_to_vacant(base, extra, now):
         assert occ_all
     if app_base:
         assert app_all
+
+
+def _step_inputs(snap):
+    return (snap.room_occupied, snap.approach_detected, snap.manual_kill,
+            snap.motion_active, snap.desk_zone_occupied)
+
+
+_any_payload = st.one_of(
+    _payload_strategy(),
+    st.just(("ble_door", BleAdvert("b", 5.0))),       # anomaly
+    st.just(("pir_1", ManualOff())),
+    st.just(("pir_1", ManualRearm())),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 100.0), _any_payload), max_size=8),
+       st.floats(0.0, 25.0),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_step_inputs_hold_until_next_change_at(raw_events, wait, frac):
+    f = fusion()
+    for event in sort_events([ev(t, src, p) for t, (src, p) in raw_events]):
+        f.ingest(event)
+    t0 = max((t for t, _ in raw_events), default=0.0) + wait
+    change = f.next_change_at(t0)
+    assert change > t0
+    t = t0 + frac * (min(change, t0 + 100.0) - t0)
+    assume(t < change)
+    assert _step_inputs(f.snapshot(t)) == _step_inputs(f.snapshot(t0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,17 @@ from pathlib import Path
 import pytest
 
 import uvcguard
+from uvcguard import simulator
 from uvcguard.controller import CyclePolicy, write_command_log
 from uvcguard.dosimetry import DoseGrid, accumulate_dose, irradiance_at_point
 from uvcguard.fusion import (BleAdvert, FusionParams, distance_to_rssi,
                              read_event_log, write_event_log)
 from uvcguard.room import Point3, SensorKind, default_room
-from uvcguard.scenarios import random_walk_scenario, scenario_d
+from uvcguard.scenarios import (midnight_scenario, random_walk_scenario,
+                                reference_scenarios, scenario_d)
 from uvcguard.simulator import (
     CHEST_HEIGHT,
+    MAX_TICKS,
     NoiseParams,
     OccupantScript,
     Scenario,
@@ -210,6 +213,22 @@ def test_validate_scenario_rejects_non_finite_values():
                                unsafe_force_on={"ceiling_1": ((0.0, bad),)})
         assert validate_scenario(forced) == [
             "unsafe_force_on['ceiling_1']: bad interval"]
+
+
+def test_validate_scenario_bounds_the_tick_count():
+    a = reference_scenarios()["A"]
+    for huge in (dataclasses.replace(a, tick=1e-9),       # 7.2e12 ticks
+                 dataclasses.replace(a, duration=1e15)):
+        assert any(f"must be in [1, {MAX_TICKS}]" in p
+                   for p in validate_scenario(huge))
+    # rounds to zero ticks: nothing would be simulated, yet the audit passed
+    empty = dataclasses.replace(
+        scenario_d(), duration=0.04,
+        unsafe_force_on={"ceiling_1": ((0.0, 0.04),)})
+    assert validate_scenario(empty) == [
+        f"duration / tick gives 0 ticks; it must be in [1, {MAX_TICKS}]"]
+    with pytest.raises(ScenarioError):
+        simulate(empty)
 
 
 def test_simulate_raises_on_invalid_scenario():
@@ -441,3 +460,52 @@ def test_safety_check_agrees_with_the_engine():
         assert audited.violations == result.safety.violations
         assert audited.violation_count == result.safety.violation_count
         assert audited.total_occupant_dose == result.safety.total_occupant_dose
+
+
+# ---------------------------------------------------------------------------
+# next-event advance: skipping and jumping ticks changes no output
+# ---------------------------------------------------------------------------
+
+_NOISY = NoiseParams(rssi_sigma_db=3.0, pir_miss_prob=0.3,
+                     false_positive_rate_per_hour=60.0)
+_HELD_ROOM = dataclasses.replace(ROOM, sensors=tuple(
+    dataclasses.replace(s, hold_time=5.0) for s in ROOM.sensors))
+
+NEXT_EVENT_RUNS = {
+    **{name: (lambda name=name: reference_scenarios()[name])
+       for name in "ABCD"},
+    "midnight": midnight_scenario,
+    "midnight_tz": lambda: dataclasses.replace(
+        midnight_scenario(), policy=CyclePolicy(tz_offset=19800.0)),
+    **{f"fuzz:{seed}": (lambda seed=seed: random_walk_scenario(seed))
+       for seed in range(20)},
+    **{f"noisy_fuzz:{seed}": (lambda seed=seed: dataclasses.replace(
+        random_walk_scenario(seed), noise=_NOISY)) for seed in range(5)},
+    "held_D": lambda: dataclasses.replace(scenario_d(), room=_HELD_ROOM),
+    # with no fusion hold, a latch re-emitting into an empty room leaves
+    # the snapshot vacant: only the open latch stops the jump
+    **{f"held_fuzz:{seed}": (lambda seed=seed: dataclasses.replace(
+        random_walk_scenario(seed), room=_HELD_ROOM,
+        fusion=FusionParams(pir_hold=0.0, us_hold=0.0))) for seed in range(3)},
+    # one window over the second visit, one in the empty room
+    "forced_D": lambda: dataclasses.replace(scenario_d(), unsafe_force_on={
+        "ceiling_1": ((405.0, 430.0), (3000.0, 3030.0))}),
+}
+
+
+def _outputs(scenario):
+    result = simulate(scenario)
+    return (render(result), result.safety,
+            replay(scenario, result.timeline.events))
+
+
+@pytest.mark.parametrize("run", sorted(NEXT_EVENT_RUNS))
+def test_next_event_advance_equals_stepping_every_tick(run, monkeypatch):
+    scenario = NEXT_EVENT_RUNS[run]()
+    jumped = _outputs(scenario)
+    # a controller rule always due: every tick steps, and none is jumped
+    monkeypatch.setattr(simulator, "next_due_at", lambda *args: -math.inf)
+    stepped = _outputs(scenario)
+    assert jumped[0] == stepped[0]
+    assert jumped[1] == stepped[1]
+    assert jumped[2] == stepped[2]
