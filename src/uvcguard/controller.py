@@ -29,6 +29,7 @@ ticks before it, and before the next change of the snapshot.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone, date
 from enum import Enum
@@ -127,6 +128,8 @@ def write_command_log(commands: Sequence[LampCommand], stream) -> None:
 
 
 def read_command_log(stream) -> List[LampCommand]:
+    """Parse a command-log CSV; raises ValueError naming the bad line.
+    Timestamps must be finite and never decrease: lamps act in log order."""
     header = stream.readline().rstrip("\n")
     if header != COMMAND_LOG_HEADER:
         raise ValueError(f"line 1: expected header {COMMAND_LOG_HEADER!r}")
@@ -139,11 +142,17 @@ def read_command_log(stream) -> List[LampCommand]:
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 4 fields")
         try:
-            out.append(LampCommand(timestamp=float(parts[0]), lamp_id=parts[1],
-                                   action=LampAction(parts[2]),
-                                   reason=CommandReason(parts[3])))
+            cmd = LampCommand(timestamp=float(parts[0]), lamp_id=parts[1],
+                              action=LampAction(parts[2]),
+                              reason=CommandReason(parts[3]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not math.isfinite(cmd.timestamp):
+            raise ValueError(f"line {lineno}: bad timestamp {parts[0]!r}")
+        if out and cmd.timestamp < out[-1].timestamp:
+            raise ValueError(f"line {lineno}: timestamp {parts[0]} is before "
+                             "the previous line's")
+        out.append(cmd)
     return out
 
 

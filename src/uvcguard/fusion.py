@@ -327,7 +327,9 @@ def read_event_log(stream) -> List[SensorEvent]:
         try:
             ts = float(ts_raw)
         except ValueError:
-            raise ValueError(f"line {lineno}: bad timestamp {ts_raw!r}") from None
+            ts = math.nan
+        if not math.isfinite(ts):
+            raise ValueError(f"line {lineno}: bad timestamp {ts_raw!r}")
         try:
             if kind == _KIND_PIR:
                 payload: Payload = PirMotion()

@@ -1,35 +1,36 @@
 """Deterministic fixed-step simulation of occupants, sensors, and lamps.
 
-Each tick runs the same pipeline: interpolate occupant positions, evaluate
-the physical sensor models, feed events through fusion, step the
-controller, apply lamp commands, then sample probe irradiance and audit
-occupant exposure against the post-command lamp state. The floor dose
-grid is computed once at the end from the lamp on-intervals. All
-randomness comes from one seeded generator drawn in a fixed order, so a
-scenario run twice with the same seed produces identical output byte for
-byte.
-
-The tick grid, the control step, the lamp-state rule and the audited
-occupant stepper each live in one place below. simulate() drives all four,
-replay() the first two, and safety_check() all but the control step.
+A run makes two passes over the tick grid. The control pass interpolates
+occupant positions, evaluates the physical sensor models, feeds events
+through fusion and steps the controller: it writes the event and command
+logs. The exposure pass turns the command log and any ``unsafe_force_on``
+windows into the lamps lit over each tick, the probe irradiance, the lamp
+on-intervals (and from them the floor dose grid) and the occupant exposure
+audit. All randomness comes from one seeded generator drawn in a fixed
+order, so a scenario run twice with the same seed produces identical
+output byte for byte. simulate() runs both passes, replay() the control
+step alone on recorded events, and safety_check() the exposure pass alone
+on recorded commands: the audit follows from the commands alone.
 
 Time advances to the next event where nothing can happen in between. The
 control step snapshots fusion and steps the controller only at tick 0,
 after an ingest, after a snapshot with motion or an occupied desk zone, and
 at the first tick at or after the next hold-window expiry or controller
 rule due (``next_change_at``, ``next_due_at``); on every other tick a step
-would return nothing. simulate() also crosses a span of such ticks in one
-jump while nobody is inside or moving, no sensor latch is open and no lamp
-is forced on, up to the next waypoint, PIR false positive or BLE advert;
-the jump writes the probe rows the skipped ticks would have written.
-replay() jumps to the next control tick or event. The output is the same
-byte for byte as stepping every tick.
+would return nothing. The control pass crosses a span of such ticks in one
+jump while nobody is inside or moving and no sensor latch is open, up to
+the next waypoint, PIR false positive or BLE advert. The exposure pass
+jumps from tick 1 on while nobody moves, no lamp is forced on and no
+downward lamp is lit with anyone inside, up to the next command or
+waypoint. replay() jumps to the next control tick or event. The output is
+the same byte for byte as stepping every tick.
 
 Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -52,7 +53,7 @@ BLE_ADVERT_PERIOD = 1.0        # s between beacon advertisements
 CHEST_HEIGHT = 1.1             # m; exposure accounting plane
 PROBE_HEIGHT = 0.7             # m; desk-level virtual radiometers
 MAX_RECORDED_VIOLATIONS = 10000
-MAX_TICKS = 2_000_000          # about 180 MB of probe rows
+MAX_TICKS = 2_000_000          # 16 MB of probe rows, 8 bytes a tick
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,9 @@ def ble_model(receiver: SensorSpec, beacon_pos: Point3, params: FusionParams,
 
 @dataclass
 class Timeline:
-    """Chronological record of everything a run produced."""
+    """Chronological record of everything a run produced. Tick k starts at
+    ``start_time + k * tick``; ``probe_samples[k]`` holds its probe values,
+    one tuple object shared by each run of ticks with unchanged lamps."""
 
     scenario_name: str
     start_time: float
@@ -302,7 +305,7 @@ class Timeline:
     probe_names: Tuple[str, ...]
     events: List[SensorEvent] = field(default_factory=list)
     commands: List[LampCommand] = field(default_factory=list)
-    probe_samples: List[Tuple[float, Tuple[float, ...]]] = field(default_factory=list)
+    probe_samples: List[Tuple[float, ...]] = field(default_factory=list)
     lamp_intervals: LampOnIntervals = field(default_factory=dict)
 
 
@@ -384,7 +387,7 @@ def _circle_cross_frac(pa: Point3, pb: Point3, center: Point3, radius: float,
 
 
 class _SafetyAccumulator:
-    """Interval-based exposure audit shared by the engine and safety_check.
+    """Interval-based exposure audit of the exposure pass.
 
     Each observation covers one tick [t, t+tick) over which the lamp state
     is constant. Room and zone entries are located geometrically on the
@@ -393,13 +396,15 @@ class _SafetyAccumulator:
     A lamp-on overlap is a violation only past ``reaction_deadline`` after
     room entry (when detection first became possible). Dose integrates
     all downward-lamp irradiance at chest height while inside, no grace.
+    A tick on which nobody moves and no downward lamp is lit with anyone
+    inside changes only the entry clocks of those outside, which the next
+    tick observed sets afresh.
     """
 
-    def __init__(self, room: RoomModel, policy: CyclePolicy,
-                 occupant_ids: Sequence[str], tick: float):
-        self.room = room
-        self.deadline = policy.reaction_deadline
-        self.tick = tick
+    def __init__(self, scenario: Scenario, occupant_ids: Sequence[str]):
+        room = self.room = scenario.room
+        self.deadline = scenario.policy.reaction_deadline
+        self.tick = scenario.tick
         self.ceiling = {l.id: l for l in room.lamps if l.tier is LampTier.CEILING}
         self.desk = {l.id: l for l in room.lamps if l.tier is LampTier.DESK}
         self.desk_zone = LampRoster.for_room(room).desk_lamp_zone
@@ -556,6 +561,181 @@ class _Control:
         return commands
 
 
+class _Occupants:
+    """Scripted occupant kinematics on the tick grid: ``positions`` and
+    ``insides`` at the start of the current tick, ``prev_positions`` one
+    tick earlier (None before tick 0)."""
+
+    def __init__(self, scenario: Scenario, ticks: _TickGrid):
+        self.room = scenario.room
+        self.ticks = ticks
+        self.trackers = [_OccupantTracker(o) for o in scenario.occupants]
+        self.ids = [o.occupant_id for o in scenario.occupants]
+        self.positions: List[Optional[Point3]] = [None] * len(self.ids)
+        self.move_to(0)
+
+    def parked_until(self) -> int:
+        """The first tick at whose start someone may have moved, 0 while
+        someone moves: both passes jump only over ticks that end before it."""
+        until = min([tr.parked_until() for tr in self.trackers], default=math.inf)
+        return self.ticks.first_at(self.ticks.start + until) if until > -math.inf else 0
+
+    def move_to(self, k: int) -> None:
+        """Move everyone to the start of tick k."""
+        offset = self.ticks.offset(k)
+        states = [tr.at(offset) for tr in self.trackers]
+        self.prev_positions = self.positions
+        self.positions = [pos for pos, _ in states]
+        self.insides = [flag or self.room.contains(pos) for pos, flag in states]
+
+
+def simulate(scenario: Scenario) -> SimulationResult:
+    problems = validate_scenario(scenario)
+    if problems:
+        raise ScenarioError(problems)
+
+    room = scenario.room
+    ticks = _TickGrid(scenario)
+    tick = ticks.tick
+    rng = random.Random(scenario.seed)
+    noise = scenario.noise
+    control = _Control(scenario, ticks)
+    occupants = _Occupants(scenario, ticks)
+
+    sensors = sorted(room.sensors, key=lambda s: s.id)
+
+    # independent false-positive Poisson clock per PIR sensor
+    fp_rate = noise.false_positive_rate_per_hour / 3600.0
+    next_fp: Dict[str, float] = {
+        s.id: ticks.start + rng.expovariate(fp_rate)
+        for s in sensors if s.kind is SensorKind.PIR} if fp_rate > 0.0 else {}
+
+    # hardware output latches (hold_time > 0 keeps re-emitting)
+    latch_until: Dict[str, float] = {}
+    latch_payload: Dict[str, Payload] = {}
+
+    beacon_indices = [i for i, o in enumerate(scenario.occupants)
+                      if o.carries_beacon]
+
+    timeline = Timeline(scenario_name=scenario.name, start_time=ticks.start,
+                        end_time=ticks.time(ticks.count), tick=tick,
+                        probe_names=tuple(name for name, _ in _probe_points(room)))
+    # adverts matter only when someone carries a beacon
+    next_advert = ticks.start if beacon_indices else math.inf
+
+    k = 0
+    while k < ticks.count:
+        # -- jump over ticks where nothing can happen ------------------------
+        if k + 1 < control.next_k and not any(occupants.insides) and all(
+                ticks.time(k) >= until for until in latch_until.values()):
+            stop = min(control.next_k, occupants.parked_until(),
+                       ticks.first_at(min(next_fp.values(), default=math.inf)),
+                       ticks.first_at(next_advert - 1e-9))
+            if stop > k + 1:
+                # tick stop-1 runs the loop body, which moves everyone into
+                # tick stop
+                k = stop - 1
+        t = ticks.time(k)
+
+        # -- occupant kinematics -------------------------------------------
+        positions = occupants.positions
+        moves_inside: List[Tuple[Optional[Point3], Point3]] = [
+            (prev, pos) for prev, pos, inside in zip(
+                occupants.prev_positions, positions, occupants.insides)
+            if inside]
+        inside_positions = [pos for _, pos in moves_inside]
+
+        # -- sensor models, in sorted-sensor order --------------------------
+        advert_due = t >= next_advert - 1e-9
+        if advert_due:
+            next_advert += BLE_ADVERT_PERIOD
+        for sensor in sensors:
+            kind = sensor.kind
+            payload: Optional[Payload] = None
+            if kind is SensorKind.PIR:
+                fired = bool(moves_inside) and pir_model(
+                    sensor, moves_inside, tick, rng, noise.pir_miss_prob)
+                if sensor.id in next_fp:
+                    while next_fp[sensor.id] <= t:
+                        fired = True
+                        next_fp[sensor.id] += rng.expovariate(fp_rate)
+                if fired:
+                    payload = PirMotion()
+            elif kind is SensorKind.ULTRASONIC:
+                distance = us_model(sensor, inside_positions) \
+                    if inside_positions else None
+                if distance is not None:
+                    payload = UsPresence(distance=distance)
+            elif kind is SensorKind.BLE_RECEIVER and advert_due:
+                for idx in beacon_indices:
+                    rssi = ble_model(sensor, positions[idx], scenario.fusion,
+                                     rng, noise.rssi_sigma_db)
+                    event = SensorEvent(
+                        timestamp=t, source=sensor.id,
+                        payload=BleAdvert(beacon_id=occupants.ids[idx],
+                                          rssi=rssi))
+                    control.fusion.ingest(event)
+                    timeline.events.append(event)
+                continue
+            else:
+                continue
+
+            if payload is None and sensor.hold_time > 0.0:
+                if t < latch_until.get(sensor.id, -math.inf):
+                    payload = latch_payload.get(sensor.id)
+            elif payload is not None and sensor.hold_time > 0.0:
+                latch_until[sensor.id] = t + sensor.hold_time
+                latch_payload[sensor.id] = payload
+            if payload is not None:
+                event = SensorEvent(timestamp=t, source=sensor.id, payload=payload)
+                control.fusion.ingest(event)
+                timeline.events.append(event)
+
+        # -- fuse and decide ------------------------------------------------
+        timeline.commands.extend(control.decide(k, t))
+        occupants.move_to(k + 1)
+        k += 1
+
+    timeline.probe_samples, spans, safety = _expose(scenario, timeline.commands)
+    timeline.lamp_intervals = {
+        lamp_id: [(ticks.time(a), ticks.time(b)) for a, b in pairs]
+        for lamp_id, pairs in spans.items()}
+    # the dose grid from on-durations counted in ticks: epoch differences
+    # carry rounding of up to 2.4e-7 s per endpoint, tick indices none
+    dose_grid = accumulate_dose(DoseGrid.for_room(room), room.lamps, {
+        lamp_id: [(ticks.offset(a), ticks.offset(b)) for a, b in pairs]
+        for lamp_id, pairs in spans.items()})
+    return SimulationResult(scenario=scenario, timeline=timeline,
+                            safety=safety, dose_grid=dose_grid)
+
+
+def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampCommand]:
+    """Lamp commands re-derived from a run's sensor events alone: sorted,
+    then fed to fusion on the tick grid as simulate feeds them, so a run's
+    own event log reproduces its command log exactly."""
+    events = sort_events(events)
+    ticks = _TickGrid(scenario)
+    control = _Control(scenario, ticks)
+    commands: List[LampCommand] = []
+    i = 0
+    k = 0
+    while k < ticks.count:
+        t = ticks.time(k)
+        while i < len(events) and events[i].timestamp <= t:
+            control.fusion.ingest(events[i])
+            i += 1
+        commands.extend(control.decide(k, t))
+        k += 1
+        if k < control.next_k:
+            next_event = events[i].timestamp if i < len(events) else math.inf
+            k = min(control.next_k, ticks.first_at(next_event))
+    return commands
+
+
+# ---------------------------------------------------------------------------
+# the exposure pass: lamps, probes and the audit from the command log
+# ---------------------------------------------------------------------------
+
 class _LampState:
     """Lamps lit over each tick: the controller's commands plus the
     ``unsafe_force_on`` windows. ``on`` lists them in switch-on order, ties
@@ -606,222 +786,61 @@ class _LampState:
         return self.spans
 
 
-class _Occupants:
-    """Scripted occupant motion stepped along the tick grid; each tick's
-    movement segment is audited against the lamps lit over it."""
-
-    def __init__(self, scenario: Scenario, ticks: _TickGrid):
-        self.room = scenario.room
-        self.ticks = ticks
-        self.trackers = [_OccupantTracker(o) for o in scenario.occupants]
-        self.ids = [o.occupant_id for o in scenario.occupants]
-        self.audit = _SafetyAccumulator(self.room, scenario.policy, self.ids,
-                                        ticks.tick)
-        self.positions: List[Optional[Point3]] = [None] * len(self.ids)
-        self.insides: List[bool] = [False] * len(self.ids)
-        self._move_to(0.0)
-
-    def parked_until(self) -> float:
-        """Script time up to which nobody moves and everybody stays outside
-        the room; -inf if someone is inside or on the move."""
-        if any(self.insides):
-            return -math.inf
-        return min((tr.parked_until() for tr in self.trackers), default=math.inf)
-
-    def park(self) -> None:
-        """Stand still for ticks that parked_until() covers: each one moves
-        nobody and resets the audit's entry clocks, as advance() would."""
-        self.prev_positions = self.positions
-        for occupant_id in self.ids:
-            self.audit.entered_at[occupant_id] = None
-
-    def _move_to(self, offset: float) -> None:
-        positions: List[Optional[Point3]] = []
-        insides: List[bool] = []
-        for tr in self.trackers:
-            pos, flag = tr.at(offset)
-            positions.append(pos)
-            insides.append(flag or self.room.contains(pos))
-        self.prev_positions = self.positions
-        self.positions = positions
-        self.insides = insides
-
-    def advance(self, k: int, t: float, on_lamps: Dict[str, LampSpec]) -> None:
-        """Move to the end of tick k, auditing the segment walked over it."""
-        pos_a, in_a = self.positions, self.insides
-        self._move_to(self.ticks.offset(k + 1))
-        pos_b, in_b = self.positions, self.insides
-        for i, occupant_id in enumerate(self.ids):
-            self.audit.observe(t, occupant_id, pos_a[i], in_a[i],
-                               pos_b[i], in_b[i], on_lamps)
-
-
-def simulate(scenario: Scenario) -> SimulationResult:
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ScenarioError(problems)
-
-    room = scenario.room
+def _expose(scenario: Scenario, commands: Sequence[LampCommand]) -> Tuple[
+        List[Tuple[float, ...]], Dict[str, List[Tuple[int, int]]], SafetyReport]:
+    """The lamps a command log lights, stepped along the tick grid: each
+    tick's probe values (ticks with unchanged lamps share one tuple), the
+    on-intervals as tick-index pairs, and the audit of each tick's movement
+    segment against the lamps lit over it. A command acts from the first
+    tick at or after its timestamp, in log order."""
     ticks = _TickGrid(scenario)
-    tick = ticks.tick
-    rng = random.Random(scenario.seed)
-    noise = scenario.noise
-    control = _Control(scenario, ticks)
-    fusion = control.fusion
     lamps = _LampState(scenario)
     occupants = _Occupants(scenario, ticks)
-
-    sensors = sorted(room.sensors, key=lambda s: s.id)
-
-    # independent false-positive Poisson clock per PIR sensor
-    fp_rate = noise.false_positive_rate_per_hour / 3600.0
-    next_fp: Dict[str, float] = {
-        s.id: ticks.start + rng.expovariate(fp_rate)
-        for s in sensors if s.kind is SensorKind.PIR} if fp_rate > 0.0 else {}
-
-    # hardware output latches (hold_time > 0 keeps re-emitting)
-    latch_until: Dict[str, float] = {}
-    latch_payload: Dict[str, Payload] = {}
-
-    beacon_indices = [i for i, o in enumerate(scenario.occupants)
-                      if o.carries_beacon]
-
-    probes = _probe_points(room)
-    probe_positions = [p for _, p in probes]
-    timeline = Timeline(scenario_name=scenario.name, start_time=ticks.start,
-                        end_time=ticks.time(ticks.count), tick=tick,
-                        probe_names=tuple(name for name, _ in probes))
-    probe_values: Tuple[float, ...] = tuple(0.0 for _ in probes)
-    # adverts matter only when someone carries a beacon
-    next_advert = ticks.start if beacon_indices else math.inf
-
+    audit = _SafetyAccumulator(scenario, occupants.ids)
+    probe_positions = [p for _, p in _probe_points(scenario.room)]
+    values: Tuple[float, ...] = tuple(0.0 for _ in probe_positions)
+    samples: List[Tuple[float, ...]] = []
+    ci = 0
     k = 0
     while k < ticks.count:
-        # -- jump over ticks where nothing can happen ------------------------
-        if k + 1 < control.next_k and not lamps.force_on and all(
-                ticks.time(k) >= until for until in latch_until.values()):
-            stop = min(control.next_k,
-                       ticks.first_at(ticks.start + occupants.parked_until()),
-                       ticks.first_at(min(next_fp.values(), default=math.inf)),
-                       ticks.first_at(next_advert - 1e-9))
-            if stop > k + 1:
-                # ticks k..stop-2 here, one append each so the list grows as
-                # in the tick loop; tick stop-1 runs the loop body, whose
-                # audit covers the move into tick stop
-                for i in range(k, stop - 1):
-                    timeline.probe_samples.append((ticks.time(i), probe_values))
-                occupants.park()
-                k = stop - 1
+        # -- jump over ticks on which observe() changes nothing --------------
+        # tick 0 starts the entry clocks of those inside, and the skipped
+        # ticks' clocks of those outside are set afresh by tick stop-1
+        stop = occupants.parked_until() if 0 < k and not lamps.force_on else 0
+        if stop > k + 1 and ci < len(commands):
+            stop = min(stop, ticks.first_at(commands[ci].timestamp))
+        if stop > k + 1 and not (any(occupants.insides) and any(
+                l.emits_downward for l in lamps.on.values())):
+            # tick stop-1 runs the loop body, whose audit covers the move
+            # into tick stop
+            samples.extend(itertools.repeat(values, stop - 1 - k))
+            k = stop - 1
         t = ticks.time(k)
 
-        # -- occupant kinematics -------------------------------------------
-        positions = occupants.positions
-        insides = occupants.insides
-        prev_positions = occupants.prev_positions
-        moves_inside: List[Tuple[Optional[Point3], Point3]] = []
-        inside_positions: List[Point3] = []
-        for i, pos in enumerate(positions):
-            if insides[i]:
-                inside_positions.append(pos)
-                moves_inside.append((prev_positions[i], pos))
-
-        # -- sensor models, in sorted-sensor order --------------------------
-        advert_due = t >= next_advert - 1e-9
-        if advert_due:
-            next_advert += BLE_ADVERT_PERIOD
-        for sensor in sensors:
-            kind = sensor.kind
-            payload: Optional[Payload] = None
-            if kind is SensorKind.PIR:
-                fired = bool(moves_inside) and pir_model(
-                    sensor, moves_inside, tick, rng, noise.pir_miss_prob)
-                if sensor.id in next_fp:
-                    while next_fp[sensor.id] <= t:
-                        fired = True
-                        next_fp[sensor.id] += rng.expovariate(fp_rate)
-                if fired:
-                    payload = PirMotion()
-            elif kind is SensorKind.ULTRASONIC:
-                distance = us_model(sensor, inside_positions) \
-                    if inside_positions else None
-                if distance is not None:
-                    payload = UsPresence(distance=distance)
-            elif kind is SensorKind.BLE_RECEIVER and advert_due:
-                for idx in beacon_indices:
-                    rssi = ble_model(sensor, positions[idx], scenario.fusion,
-                                     rng, noise.rssi_sigma_db)
-                    event = SensorEvent(
-                        timestamp=t, source=sensor.id,
-                        payload=BleAdvert(beacon_id=occupants.ids[idx],
-                                          rssi=rssi))
-                    fusion.ingest(event)
-                    timeline.events.append(event)
-                continue
-            else:
-                continue
-
-            if payload is None and sensor.hold_time > 0.0:
-                if t < latch_until.get(sensor.id, -math.inf):
-                    payload = latch_payload.get(sensor.id)
-            elif payload is not None and sensor.hold_time > 0.0:
-                latch_until[sensor.id] = t + sensor.hold_time
-                latch_payload[sensor.id] = payload
-            if payload is not None:
-                event = SensorEvent(timestamp=t, source=sensor.id, payload=payload)
-                fusion.ingest(event)
-                timeline.events.append(event)
-
-        # -- fuse, decide, actuate ------------------------------------------
-        commands = control.decide(k, t)
-        if commands:
-            timeline.commands.extend(commands)
-            for cmd in commands:
-                lamps.apply(cmd)
+        while ci < len(commands) and commands[ci].timestamp <= t:
+            lamps.apply(commands[ci])
+            ci += 1
         if lamps.settle(k, t):
             on_lamps = list(lamps.on.values())
-            probe_values = tuple(
-                irradiance_at_point(on_lamps, p) if on_lamps else 0.0
-                for p in probe_positions)
+            values = tuple(irradiance_at_point(on_lamps, p) if on_lamps else 0.0
+                           for p in probe_positions)
+        samples.append(values)
 
-        # -- accounting against the post-command lamp state -----------------
-        timeline.probe_samples.append((t, probe_values))
-        occupants.advance(k, t, lamps.on)
+        pos_a, in_a = occupants.positions, occupants.insides
+        occupants.move_to(k + 1)
+        for i, occupant_id in enumerate(occupants.ids):
+            audit.observe(t, occupant_id, pos_a[i], in_a[i],
+                          occupants.positions[i], occupants.insides[i], lamps.on)
         k += 1
-
-    # the dose grid from on-durations counted in ticks: epoch differences
-    # carry rounding of up to 2.4e-7 s per endpoint, tick indices none
-    spans = lamps.close(ticks.count)
-    timeline.lamp_intervals = {
-        lamp_id: [(ticks.time(a), ticks.time(b)) for a, b in pairs]
-        for lamp_id, pairs in spans.items()}
-    dose_grid = accumulate_dose(DoseGrid.for_room(room), room.lamps, {
-        lamp_id: [(ticks.offset(a), ticks.offset(b)) for a, b in pairs]
-        for lamp_id, pairs in spans.items()})
-    return SimulationResult(scenario=scenario, timeline=timeline,
-                            safety=occupants.audit.report(), dose_grid=dose_grid)
+    return samples, lamps.close(ticks.count), audit.report()
 
 
-def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampCommand]:
-    """Lamp commands re-derived from a run's sensor events alone: sorted,
-    then fed to fusion on the tick grid as simulate feeds them, so a run's
-    own event log reproduces its command log exactly."""
-    events = sort_events(events)
-    ticks = _TickGrid(scenario)
-    control = _Control(scenario, ticks)
-    commands: List[LampCommand] = []
-    i = 0
-    k = 0
-    while k < ticks.count:
-        t = ticks.time(k)
-        while i < len(events) and events[i].timestamp <= t:
-            control.fusion.ingest(events[i])
-            i += 1
-        commands.extend(control.decide(k, t))
-        k += 1
-        if k < control.next_k:
-            next_event = events[i].timestamp if i < len(events) else math.inf
-            k = min(control.next_k, ticks.first_at(next_event))
-    return commands
+def safety_check(timeline: Timeline, scenario: Scenario) -> SafetyReport:
+    """The exposure audit of a timeline's command record: simulate()'s own
+    exposure pass over the logged commands, any forced-on test windows and
+    the scripted occupant motion. On commands read back from
+    ``commands.csv`` it audits the log as written."""
+    return _expose(scenario, timeline.commands)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -830,12 +849,17 @@ def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampComman
 
 def write_probe_log(timeline: Timeline, stream) -> None:
     """Probe irradiance per tick as CSV, one column per probe, full float
-    precision so identical runs serialize byte for byte."""
+    precision so identical runs serialize byte for byte. Ticks that share
+    one values tuple share its formatted text."""
     header = "timestamp_s," + ",".join(f"{name}_w_m2"
                                        for name in timeline.probe_names)
     stream.write(header + "\n")
-    for t, values in timeline.probe_samples:
-        stream.write(f"{t!r}," + ",".join(repr(v) for v in values) + "\n")
+    start, tick = timeline.start_time, timeline.tick
+    formatted: Optional[Tuple[float, ...]] = None
+    for k, values in enumerate(timeline.probe_samples):
+        if values is not formatted:
+            formatted, text = values, "," + ",".join(map(repr, values)) + "\n"
+        stream.write(repr(start + k * tick) + text)
 
 
 DOSE_GRID_HEADER = "row,col,x_m,y_m,dose_j_m2"
@@ -848,30 +872,3 @@ def write_dose_grid_csv(grid: DoseGrid, stream) -> None:
             center = grid.cell_center(r, c)
             dose = float(grid.accumulated_dose[r, c])
             stream.write(f"{r},{c},{center.x!r},{center.y!r},{dose!r}\n")
-
-
-# ---------------------------------------------------------------------------
-# independent safety audit
-# ---------------------------------------------------------------------------
-
-def safety_check(timeline: Timeline, scenario: Scenario) -> SafetyReport:
-    """Re-derive the safety report from a timeline's command record.
-
-    Replays lamp states tick by tick from the logged commands (plus any
-    forced-on test windows) against the scripted occupant motion, through
-    the same lamp-state rule and occupant stepper as simulate(); agrees
-    with the report simulate() produced for the same run.
-    """
-    ticks = _TickGrid(scenario)
-    lamps = _LampState(scenario)
-    occupants = _Occupants(scenario, ticks)
-    commands = timeline.commands
-    ci = 0
-    for k in range(ticks.count):
-        t = ticks.time(k)
-        while ci < len(commands) and commands[ci].timestamp <= t:
-            lamps.apply(commands[ci])
-            ci += 1
-        lamps.settle(k, t)
-        occupants.advance(k, t, lamps.on)
-    return occupants.audit.report()

@@ -137,7 +137,7 @@ def test_criterion_3_occupied_room_sees_no_disinfection_exposure(run_b):
     assert wall < 5.0
     timeline = result.timeline
     assert set(timeline.lamp_intervals) <= {"upper_room"}
-    for _, values in timeline.probe_samples:
+    for values in timeline.probe_samples:
         assert all(v == 0.0 for v in values)
     assert result.safety.verdict == "pass"
     assert result.safety.violation_count == 0

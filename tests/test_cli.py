@@ -268,6 +268,21 @@ def test_replay_rejects_a_garbled_event_log(tmp_path, capsys):
     assert "bad event log" in capsys.readouterr().err
 
 
+def test_replay_rejects_a_non_finite_event_timestamp(tmp_path, capsys):
+    # a NaN first row sorted ahead of every event and stopped the ingest:
+    # replay wrote 4 of D's 22 commands and exited 0
+    assert main(["simulate", "--scenario", "D",
+                 "--out", str(tmp_path / "sim")]) == EXIT_OK
+    events = tmp_path / "sim" / "D" / "events.csv"
+    header, first, rest = events.read_text().split("\n", 2)
+    events.write_text("\n".join([header, "nan" + first[first.index(","):],
+                                 rest]))
+    rc = main(["replay", "--scenario", "D", "--events", str(events),
+               "--out", str(tmp_path / "replay")])
+    assert rc == EXIT_INPUT_ERROR
+    assert "line 2: bad timestamp 'nan'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reference-suite
 # ---------------------------------------------------------------------------

@@ -447,3 +447,20 @@ def test_command_log_round_trip():
     text = buf.getvalue()
     assert text.splitlines()[0] == COMMAND_LOG_HEADER
     assert read_command_log(io.StringIO(text)) == commands
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_command_log_rejects_non_finite_timestamps(bad):
+    # a NaN first row never fell due, so no later command was applied
+    text = (COMMAND_LOG_HEADER + f"\n{bad},ceiling_1,turn_on,cycle_start\n"
+            "10.0,ceiling_1,turn_off,cycle_complete\n")
+    with pytest.raises(ValueError, match=f"line 2: bad timestamp '{bad}'"):
+        read_command_log(io.StringIO(text))
+
+
+def test_command_log_rejects_decreasing_timestamps():
+    text = (COMMAND_LOG_HEADER + "\n10.0,ceiling_1,turn_on,cycle_start\n"
+            "10.0,ceiling_2,turn_on,cycle_start\n"
+            "5.0,ceiling_1,turn_off,cycle_complete\n")
+    with pytest.raises(ValueError, match="line 4: timestamp 5.0 is before"):
+        read_command_log(io.StringIO(text))

@@ -290,3 +290,10 @@ def test_read_event_log_names_the_bad_line():
         read_event_log(io.StringIO("bogus\n"))
     with pytest.raises(ValueError, match="line 2"):
         read_event_log(io.StringIO(EVENT_LOG_HEADER + "\n0.1,pir_1,LIDAR,,\n"))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_event_log_rejects_non_finite_timestamps(bad):
+    text = EVENT_LOG_HEADER + f"\n0.1,pir_1,PIR,,\n{bad},pir_1,PIR,,\n"
+    with pytest.raises(ValueError, match=f"line 3: bad timestamp '{bad}'"):
+        read_event_log(io.StringIO(text))

@@ -13,11 +13,12 @@ import pytest
 
 import uvcguard
 from uvcguard import simulator
-from uvcguard.controller import CyclePolicy, write_command_log
+from uvcguard.controller import (CyclePolicy, read_command_log,
+                                 write_command_log)
 from uvcguard.dosimetry import DoseGrid, accumulate_dose, irradiance_at_point
 from uvcguard.fusion import (BleAdvert, FusionParams, distance_to_rssi,
                              read_event_log, write_event_log)
-from uvcguard.room import Point3, SensorKind, default_room
+from uvcguard.room import LampTier, Point3, SensorKind, default_room
 from uvcguard.scenarios import (midnight_scenario, random_walk_scenario,
                                 reference_scenarios, scenario_d)
 from uvcguard.simulator import (
@@ -369,8 +370,10 @@ def test_probe_samples_match_lamp_intervals():
                 if any(s <= t < e for s, e in spans)]
 
     assert timeline.probe_names == ("room_center", "desk_2")
-    for t, values in timeline.probe_samples[::37]:
-        on = lamps_on_at(t)
+    assert len(timeline.probe_samples) == 4000
+    for k in range(0, 4000, 37):
+        values = timeline.probe_samples[k]
+        on = lamps_on_at(timeline.start_time + k * timeline.tick)
         for name, value in zip(timeline.probe_names, values):
             expected = irradiance_at_point(on, probe_pts[name]) if on else 0.0
             assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -451,15 +454,44 @@ def test_walker_scenario_is_exposure_free():
 # offline audit agreement
 # ---------------------------------------------------------------------------
 
+def unseen(script: OccupantScript) -> Scenario:
+    """``script`` in a room assumed vacant and without the upper-room lamp,
+    so that no command falls at tick 0. The cycle at 60 s lights every
+    lamp, and an occupant whom no sensor sees does not stop it."""
+    room = dataclasses.replace(ROOM, lamps=tuple(
+        l for l in ROOM.lamps if l.tier is not LampTier.UPPER_ROOM))
+    return make_scenario([script], room=room, assume_vacant_at_start=True)
+
+
+def creeper() -> OccupantScript:
+    """Waits at the door until 100.05 s, off the tick grid, then creeps to
+    desk 1 below the PIR speed threshold, crossing the door plane within
+    the same tick."""
+    return OccupantScript("creeper", carries_beacon=False, waypoints=(
+        wp(0.0, 2.15, -0.002, inside=False),
+        wp(100.05, 2.15, -0.002, inside=False),
+        wp(112.05, 2.15, 0.598),
+        wp(400.0, 2.15, 0.598)))
+
+
 def test_safety_check_agrees_with_the_engine():
+    # the audit of the command log as written to and read back from
+    # commands.csv, with nothing else of the run
+    counts = []
     for sc in (make_scenario([walker()]),
                make_scenario([walker()],
-                             unsafe_force_on={"ceiling_2": ((30.0, 45.0),)})):
+                             unsafe_force_on={"ceiling_2": ((30.0, 45.0),)}),
+               unseen(seated()), unseen(creeper())):
         result = simulate(sc)
-        audited = safety_check(result.timeline, sc)
-        assert audited.violations == result.safety.violations
-        assert audited.violation_count == result.safety.violation_count
-        assert audited.total_occupant_dose == result.safety.total_occupant_dose
+        log = io.StringIO()
+        write_command_log(result.timeline.commands, log)
+        timeline = simulator.Timeline(
+            scenario_name=sc.name, start_time=sc.start_time,
+            end_time=sc.end_time, tick=sc.tick, probe_names=(),
+            commands=read_command_log(io.StringIO(log.getvalue())))
+        assert safety_check(timeline, sc) == result.safety
+        counts.append(result.safety.violation_count)
+    assert counts == [0, 150, 6800, 5980]
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +522,24 @@ NEXT_EVENT_RUNS = {
     # one window over the second visit, one in the empty room
     "forced_D": lambda: dataclasses.replace(scenario_d(), unsafe_force_on={
         "ceiling_1": ((405.0, 430.0), (3000.0, 3030.0))}),
+    "forced_A": lambda: dataclasses.replace(
+        reference_scenarios()["A"],
+        unsafe_force_on={"ceiling_2": ((300.0, 900.0),)}),
+    # dark and lit spans with someone inside whom no sensor sees
+    "unseen_sitter": lambda: unseen(seated()),
+    "unseen_creeper": lambda: unseen(creeper()),
+    # with no fusion hold, a seated worker's ultrasonic events keep no
+    # window open: only someone being inside stops the control pass's jump
+    "zero_hold_B": lambda: dataclasses.replace(
+        reference_scenarios()["B"], duration=300.0,
+        fusion=FusionParams(pir_hold=0.0, us_hold=0.0)),
 }
 
 
 def _outputs(scenario):
     result = simulate(scenario)
     return (render(result), result.safety,
+            safety_check(result.timeline, scenario),
             replay(scenario, result.timeline.events))
 
 
@@ -503,9 +547,13 @@ def _outputs(scenario):
 def test_next_event_advance_equals_stepping_every_tick(run, monkeypatch):
     scenario = NEXT_EVENT_RUNS[run]()
     jumped = _outputs(scenario)
-    # a controller rule always due: every tick steps, and none is jumped
+    # a controller rule always due and nobody ever parked: every tick
+    # steps, and neither pass jumps
     monkeypatch.setattr(simulator, "next_due_at", lambda *args: -math.inf)
+    monkeypatch.setattr(simulator._OccupantTracker, "parked_until",
+                        lambda self: -math.inf)
     stepped = _outputs(scenario)
     assert jumped[0] == stepped[0]
     assert jumped[1] == stepped[1]
     assert jumped[2] == stepped[2]
+    assert jumped[3] == stepped[3]
