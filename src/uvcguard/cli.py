@@ -176,7 +176,7 @@ def _run_and_write(scenario: Scenario, outdir: Path, command: str) -> Simulation
 
     manifest.update({
         "status": "complete",
-        "elapsed_s": round(elapsed, 3),
+        "elapsed_s": round(elapsed, 6),
         "outputs": sorted(outputs),
         "event_count": len(result.timeline.events),
         "command_count": len(result.timeline.commands),

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, artifacts, manifests, determinism."""
 
 import json
+import types
 
 import pytest
 
@@ -52,6 +53,17 @@ def test_simulate_writes_artifacts_and_manifest(tmp_path, capsys):
     assert "scenario fuzz_1:" in out
     assert "safety=pass (0 violations)" in out
     assert f"outputs in {outdir}" in out
+
+
+def test_manifest_elapsed_keeps_microseconds(tmp_path, monkeypatch):
+    # runs of a few milliseconds must not be rounded to whole milliseconds
+    clock = iter((100.0, 100.0061234))
+    monkeypatch.setattr("uvcguard.cli.time",
+                        types.SimpleNamespace(monotonic=lambda: next(clock)))
+    assert main(["simulate", "--scenario", "fuzz:1",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "fuzz_1" / "manifest.json").read_text())
+    assert manifest["elapsed_s"] == 0.006123
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):
