@@ -20,10 +20,11 @@ Priorities, highest first:
 
 The controller has no loop of its own. ``uvcguard.simulator`` steps it from
 a single control step shared by ``simulate`` and ``replay``, so replaying a
-run's event log reproduces its command log by construction. While the fused
-picture is quiet (no motion, no occupied desk zone), a step on an unchanged
-snapshot does nothing until ``next_due_at``: the control step skips the
-ticks before it, and before the next change of the snapshot.
+run's event log reproduces its command log by construction. A step on an
+unchanged snapshot does nothing until ``next_due_at`` but renew the recency
+stamps of open motion and zone windows: the control step skips the ticks
+before it and before the next change of the snapshot, and restamps those
+windows with the last skipped tick before it steps again.
 """
 
 from __future__ import annotations
@@ -231,12 +232,25 @@ def _local_date(now: float, tz_offset: float) -> date:
 # the step function
 # ---------------------------------------------------------------------------
 
+def stamp_recency(state: ControllerState, snapshot: OccupancySnapshot,
+                  now: float) -> None:
+    """Record the motion and desk-zone windows open in ``snapshot`` as seen
+    at ``now``, the recency that the desk quiet-gap rule reads."""
+    if snapshot.motion_active:
+        state.motion_last_seen = now
+    for zone_id, occupied in snapshot.desk_zone_occupied.items():
+        if occupied and zone_id in state.zone_last_seen:
+            state.zone_last_seen[zone_id] = now
+
+
 def step(state: ControllerState, snapshot: OccupancySnapshot, now: float,
          policy: CyclePolicy) -> Tuple[ControllerState, List[LampCommand]]:
     """Advance the controller one step; must be called at every tick where
-    its inputs change or ``next_due_at`` falls, and on every tick while the
-    snapshot shows motion or an occupied desk zone. Returns the state and
-    the commands to apply."""
+    its inputs change or ``next_due_at`` falls. Ticks in between may be
+    skipped, if before the next step ``motion_last_seen`` and the
+    ``zone_last_seen`` entries of the windows open at the last one are set
+    to the last skipped tick, as a step there would have set them. Returns
+    the state and the commands to apply."""
     commands: List[LampCommand] = []
     roster = state.roster
 
@@ -252,11 +266,7 @@ def step(state: ControllerState, snapshot: OccupancySnapshot, now: float,
 
     # recency trackers feed the quiet-gap rule; a hold window that is still
     # open counts as a detection happening right now
-    if snapshot.motion_active:
-        state.motion_last_seen = now
-    for zone_id, occupied in snapshot.desk_zone_occupied.items():
-        if occupied and zone_id in state.zone_last_seen:
-            state.zone_last_seen[zone_id] = now
+    stamp_recency(state, snapshot, now)
 
     presence = snapshot.room_occupied or snapshot.approach_detected
 
@@ -361,10 +371,13 @@ def step(state: ControllerState, snapshot: OccupancySnapshot, now: float,
 def next_due_at(state: ControllerState, policy: CyclePolicy,
                 after: float) -> float:
     """Earliest time after a step at ``after`` at which a rule of ``step``
-    can fire on the same quiet snapshot (no motion, no occupied desk zone):
-    a running lamp's end, the vacancy grace, a desk quiet gap, the next
-    upper-room slot or the next local midnight. Before it, stepping that
-    snapshot again returns no commands and leaves the state equal."""
+    can fire on the same snapshot: a running lamp's end, the vacancy grace,
+    a desk quiet gap, the next upper-room slot or the next local midnight.
+    Before it, stepping that snapshot again returns no commands and changes
+    the state only in the recency stamps of the open motion and zone
+    windows, which the caller restamps before its next step. A quiet gap
+    counted from a stamp that an open window would renew is early, never
+    late: its lamp cannot start while the window stays open."""
     if state.manual_killed:
         return float("inf")
     due = [ends_at for _, ends_at in state.running.values()]

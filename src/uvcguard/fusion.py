@@ -139,9 +139,12 @@ class OccupancyFusion:
     """Single-owner fusion state: ingest events, then read snapshots.
 
     ``snapshot(now)`` is a pure function of the ingested event log and
-    ``now``. The one state it touches is ``ingested``, which ``ingest``
-    sets and ``snapshot`` clears, so a caller can tell whether events
-    arrived since its last snapshot.
+    ``now``. The one state it touches is ``ingested``, which ``snapshot``
+    clears and ``ingest`` sets only for an event that can change a field
+    the controller reads: one that opens a motion, anomaly, zone or
+    approach window closed at its timestamp, or a manual kill or rearm.
+    An event that extends an open window leaves it down; the window's
+    first end, ``next_change_at``, still falls as it did.
     """
 
     def __init__(self, room: RoomModel, params: Optional[FusionParams] = None):
@@ -171,12 +174,12 @@ class OccupancyFusion:
                 f"event from {event.source!r} at t={event.timestamp} arrived "
                 f"after t={self._latest_ts}")
         self._latest_ts = event.timestamp
-        self.ingested = True
         ts = event.timestamp
         p = event.payload
         params = self.params
         if isinstance(p, PirMotion):
-            self._motion_until = max(self._motion_until, ts + params.pir_hold)
+            self._motion_until = self._open(self._motion_until, ts,
+                                            ts + params.pir_hold)
             self._last_motion_time = ts
             self._mark(event.source, ts + params.pir_hold)
         elif isinstance(p, UsPresence):
@@ -189,7 +192,7 @@ class OccupancyFusion:
                 self._anomaly(event, "ultrasonic return without an aimed zone")
                 return
             until = ts + params.us_hold
-            self._zone_until[zone] = max(self._zone_until[zone], until)
+            self._zone_until[zone] = self._open(self._zone_until[zone], ts, until)
             self._mark(event.source, until)
         elif isinstance(p, BleAdvert):
             if not RSSI_FLOOR <= p.rssi <= RSSI_CEILING:
@@ -197,15 +200,25 @@ class OccupancyFusion:
                 return
             if rssi_to_distance(p.rssi, params) < params.approach_radius:
                 until = ts + params.ble_stale_after
-                self._approach_until = max(self._approach_until, until)
+                self._approach_until = self._open(self._approach_until, ts, until)
                 self._mark(event.source, until)
         elif isinstance(p, ManualOff):
             self._manual_kill = True
             self._manual_source = event.source
+            self.ingested = True
         elif isinstance(p, ManualRearm):
             self._manual_kill = False
+            self.ingested = True
         else:
             self._anomaly(event, f"unrecognized payload {type(p).__name__}")
+
+    def _open(self, until: float, ts: float, new_until: float) -> float:
+        """The hold window ``until`` extended to ``new_until`` by an event at
+        ``ts``; raises ``ingested`` if the window was closed at ``ts`` and
+        opens."""
+        if until <= ts < new_until:
+            self.ingested = True
+        return max(until, new_until)
 
     def _mark(self, source: str, until: float) -> None:
         prev = self._source_until.get(source, -math.inf)
@@ -217,8 +230,8 @@ class OccupancyFusion:
         self.anomalies.append((event.timestamp, event.source, why))
         logger.warning("anomalous sensor event from %r at t=%s: %s",
                        event.source, event.timestamp, why)
-        self._misc_until = max(self._misc_until,
-                               event.timestamp + self.params.pir_hold)
+        self._misc_until = self._open(self._misc_until, event.timestamp,
+                                      event.timestamp + self.params.pir_hold)
         self._mark(event.source, event.timestamp + self.params.pir_hold)
 
     # -- reading -----------------------------------------------------------

@@ -14,16 +14,20 @@ on recorded commands: the audit follows from the commands alone.
 
 Time advances to the next event where nothing can happen in between. The
 control step snapshots fusion and steps the controller only at tick 0,
-after an ingest, after a snapshot with motion or an occupied desk zone, and
+after an ingest that opens a hold window or presses the manual switch, and
 at the first tick at or after the next hold-window expiry or controller
 rule due (``next_change_at``, ``next_due_at``); on every other tick a step
-would return nothing. The control pass crosses a span of such ticks in one
-jump while nobody is inside or moving and no sensor latch is open, up to
-the next waypoint, PIR false positive or BLE advert. The exposure pass
-jumps from tick 1 on while nobody moves, no lamp is forced on and no
-downward lamp is lit with anyone inside, up to the next command or
-waypoint. replay() jumps to the next control tick or event. The output is
-the same byte for byte as stepping every tick.
+would only renew the recency stamps of open windows, which the next step
+restamps with the last skipped tick. While nobody inside moves and nobody
+moves before the next waypoint, every tick emits the same sensor payloads
+and draws nothing: the control pass repeats them in a still span up to that
+waypoint, the next PIR false positive, the end of an open latch or, with
+RSSI noise, the next BLE advert, and crosses the ticks that emit nothing in
+one jump. The exposure pass jumps from tick 1 on while nobody moves and no
+lamp is forced on, up to the next command or waypoint, adding the dose of
+the skipped ticks at once, unless a ceiling lamp is lit with anyone inside
+or a desk lamp over someone in its zone. replay() jumps to the next control
+tick or event. The output is the same byte for byte as stepping every tick.
 
 Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 """
@@ -38,12 +42,13 @@ from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
 from .controller import (ControllerState, CyclePolicy, LampAction,
-                         LampCommand, LampRoster, next_due_at, step)
+                         LampCommand, LampRoster, next_due_at, stamp_recency,
+                         step)
 from .dosimetry import (DoseGrid, LampOnIntervals, accumulate_dose,
                         irradiance_at_point)
-from .fusion import (BleAdvert, FusionParams, OccupancyFusion, Payload,
-                     PirMotion, SensorEvent, UsPresence, distance_to_rssi,
-                     sort_events)
+from .fusion import (BleAdvert, FusionParams, OccupancyFusion,
+                     OccupancySnapshot, Payload, PirMotion, SensorEvent,
+                     UsPresence, distance_to_rssi, sort_events)
 from .room import (ID_PATTERN, LampSpec, LampTier, Point3, RoomModel,
                    SensorKind, SensorSpec, angle_between_deg,
                    require_finite, validate as validate_room)
@@ -396,9 +401,9 @@ class _SafetyAccumulator:
     A lamp-on overlap is a violation only past ``reaction_deadline`` after
     room entry (when detection first became possible). Dose integrates
     all downward-lamp irradiance at chest height while inside, no grace.
-    A tick on which nobody moves and no downward lamp is lit with anyone
-    inside changes only the entry clocks of those outside, which the next
-    tick observed sets afresh.
+    ``still`` accounts a span of ticks on which nobody moves and the lamps
+    stay as they are, without observing each, when it can record no
+    violation.
     """
 
     def __init__(self, scenario: Scenario, occupant_ids: Sequence[str]):
@@ -409,6 +414,7 @@ class _SafetyAccumulator:
         self.desk = {l.id: l for l in room.lamps if l.tier is LampTier.DESK}
         self.desk_zone = LampRoster.for_room(room).desk_lamp_zone
         self.zones = {z.desk_id: z for z in room.desk_zones}
+        self.ids = list(occupant_ids)
         self.entered_at: Dict[str, Optional[float]] = {o: None for o in occupant_ids}
         self.dose: Dict[str, float] = {o: 0.0 for o in occupant_ids}
         self.violations: List[SafetyViolation] = []
@@ -442,8 +448,7 @@ class _SafetyAccumulator:
         if on_lamps:
             downward_on = [l for l in on_lamps.values() if l.emits_downward]
             if downward_on:
-                self.dose[occupant_id] += irradiance_at_point(downward_on, chest) \
-                    * (tick - inside_off)
+                self.dose[occupant_id] += self._dose(downward_on, chest, inside_off)
 
         overdue_off = entered_off + self.deadline
         violation_off = max(inside_off, overdue_off)
@@ -471,6 +476,45 @@ class _SafetyAccumulator:
             if violation_off < zone_end_off - 1e-12:
                 self._record(t + violation_off, occupant_id, lamp_id,
                              irradiance_at_point([self.desk[lamp_id]], chest))
+
+    def _dose(self, downward_on: Sequence[LampSpec], chest: Point3,
+              inside_off: float) -> float:
+        """Dose at ``chest`` over the part of a tick from ``inside_off`` on."""
+        return irradiance_at_point(downward_on, chest) * (self.tick - inside_off)
+
+    def still(self, t: float, positions: Sequence[Point3],
+              insides: Sequence[bool], on_lamps: Dict[str, LampSpec],
+              n: int) -> bool:
+        """Account the n ticks from t on, over which nobody moves from
+        ``positions`` and ``on_lamps`` stay lit, as ``observe`` would, and
+        return True; or return False, with nothing changed, if a violation
+        could be recorded on them. Entry clocks need nothing: those inside
+        keep theirs, and the tick that observes the next move of those
+        outside sets theirs afresh. Call it from tick 1 on, once the clocks
+        of those inside have started."""
+        downward_on = [l for l in on_lamps.values() if l.emits_downward]
+        inside = [(occupant_id, pos) for occupant_id, pos, flag in
+                  zip(self.ids, positions, insides) if flag]
+        if not downward_on or not inside:
+            return True
+        if any(lamp_id in on_lamps for lamp_id in self.ceiling):
+            return False
+        for lamp_id, zone_id in self.desk_zone.items():
+            zone = self.zones[zone_id]
+            if lamp_id in on_lamps and any(
+                    zone.center.horizontal_distance_to(pos) <= zone.exclusion_radius
+                    for _, pos in inside):
+                return False
+        if any(self.entered_at[occupant_id] > t for occupant_id, _ in inside):
+            return False
+        for occupant_id, pos in inside:
+            # each tick's increment added once per tick, as observe adds it
+            increment = self._dose(downward_on, Point3(pos.x, pos.y, CHEST_HEIGHT), 0.0)
+            dose = self.dose[occupant_id]
+            for _ in range(n):
+                dose += increment
+            self.dose[occupant_id] = dose
+        return True
 
     def _record(self, now: float, occupant_id: str, lamp_id: str,
                 irradiance: float) -> None:
@@ -532,7 +576,8 @@ class _Control:
     """Fusion and controller of one run: events go into ``fusion`` as they
     happen, and ``decide`` steps the controller on a tick's snapshot when
     the step can do something. ``next_k`` is the next tick that must step
-    even if no event arrives before it."""
+    even if no event arrives before it; ``stepped`` is the last tick that
+    stepped and ``last`` its snapshot."""
 
     def __init__(self, scenario: Scenario, ticks: _TickGrid):
         start = scenario.start_time
@@ -540,6 +585,8 @@ class _Control:
         self.policy = scenario.policy
         self.ticks = ticks
         self.next_k = 0
+        self.stepped = -1
+        self.last: Optional[OccupancySnapshot] = None
         self.state = ControllerState.initial(
             scenario.room, scenario.policy, start,
             assume_vacant_since=start if scenario.assume_vacant_at_start else None)
@@ -548,16 +595,18 @@ class _Control:
         fusion = self.fusion
         if k < self.next_k and not fusion.ingested:
             return []
+        if self.last is not None and self.stepped < k - 1:
+            # a step on each skipped tick would have stamped the windows open
+            # at the last one: none closes before next_k, so all were still
+            # open at tick k - 1
+            stamp_recency(self.state, self.last, self.ticks.time(k - 1))
         snapshot = fusion.snapshot(t)
         self.state, commands = step(self.state, snapshot, t, self.policy)
-        if snapshot.room_occupied:
-            # step stamps motion and zone recency with ``t`` on such ticks
-            self.next_k = k + 1
-        else:
-            # 1e-6 s early: the candidates carry rounding of a few ulps
-            self.next_k = self.ticks.first_at(min(
-                fusion.next_change_at(t),
-                next_due_at(self.state, self.policy, t) - 1e-6))
+        self.stepped, self.last = k, snapshot
+        # 1e-6 s early: the candidates carry rounding of a few ulps
+        self.next_k = self.ticks.first_at(min(
+            fusion.next_change_at(t),
+            next_due_at(self.state, self.policy, t) - 1e-6))
         return commands
 
 
@@ -589,76 +638,63 @@ class _Occupants:
         self.insides = [flag or self.room.contains(pos) for pos, flag in states]
 
 
-def simulate(scenario: Scenario) -> SimulationResult:
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ScenarioError(problems)
+SpanPayloads = List[Tuple[str, Payload]]
 
-    room = scenario.room
-    ticks = _TickGrid(scenario)
-    tick = ticks.tick
-    rng = random.Random(scenario.seed)
-    noise = scenario.noise
-    control = _Control(scenario, ticks)
-    occupants = _Occupants(scenario, ticks)
 
-    sensors = sorted(room.sensors, key=lambda s: s.id)
+class _Sensing:
+    """The sensor models of a run and what they carry from tick to tick:
+    a false-positive Poisson clock per PIR sensor, the hardware output
+    latches (``hold_time`` > 0 keeps re-emitting) and the BLE advert clock.
+    All randomness of a run comes from ``rng``, drawn in sorted-sensor order
+    within each tick."""
 
-    # independent false-positive Poisson clock per PIR sensor
-    fp_rate = noise.false_positive_rate_per_hour / 3600.0
-    next_fp: Dict[str, float] = {
-        s.id: ticks.start + rng.expovariate(fp_rate)
-        for s in sensors if s.kind is SensorKind.PIR} if fp_rate > 0.0 else {}
+    def __init__(self, scenario: Scenario, ticks: _TickGrid):
+        self.ticks = ticks
+        self.rng = rng = random.Random(scenario.seed)
+        self.noise = scenario.noise
+        self.params = scenario.fusion
+        self.sensors = sorted(scenario.room.sensors, key=lambda s: s.id)
+        self.fp_rate = self.noise.false_positive_rate_per_hour / 3600.0
+        self.next_fp: Dict[str, float] = {
+            s.id: ticks.start + rng.expovariate(self.fp_rate)
+            for s in self.sensors
+            if s.kind is SensorKind.PIR} if self.fp_rate > 0.0 else {}
+        self.latch_until: Dict[str, float] = {}
+        self.latch_payload: Dict[str, Payload] = {}
+        self.beacons = [(i, o.occupant_id) for i, o in enumerate(scenario.occupants)
+                        if o.carries_beacon]
+        # adverts matter only when someone carries a beacon
+        self.next_advert = ticks.start if self.beacons else math.inf
 
-    # hardware output latches (hold_time > 0 keeps re-emitting)
-    latch_until: Dict[str, float] = {}
-    latch_payload: Dict[str, Payload] = {}
+    def advert_due(self, t: float) -> bool:
+        """Whether the beacons advertise on the tick at t; moves the clock."""
+        if t >= self.next_advert - 1e-9:
+            self.next_advert += BLE_ADVERT_PERIOD
+            return True
+        return False
 
-    beacon_indices = [i for i, o in enumerate(scenario.occupants)
-                      if o.carries_beacon]
-
-    timeline = Timeline(scenario_name=scenario.name, start_time=ticks.start,
-                        end_time=ticks.time(ticks.count), tick=tick,
-                        probe_names=tuple(name for name, _ in _probe_points(room)))
-    # adverts matter only when someone carries a beacon
-    next_advert = ticks.start if beacon_indices else math.inf
-
-    k = 0
-    while k < ticks.count:
-        # -- jump over ticks where nothing can happen ------------------------
-        if k + 1 < control.next_k and not any(occupants.insides) and all(
-                ticks.time(k) >= until for until in latch_until.values()):
-            stop = min(control.next_k, occupants.parked_until(),
-                       ticks.first_at(min(next_fp.values(), default=math.inf)),
-                       ticks.first_at(next_advert - 1e-9))
-            if stop > k + 1:
-                # tick stop-1 runs the loop body, which moves everyone into
-                # tick stop
-                k = stop - 1
-        t = ticks.time(k)
-
-        # -- occupant kinematics -------------------------------------------
+    def tick(self, t: float, occupants: "_Occupants") -> List[SensorEvent]:
+        """The events of the tick at t, in sorted-sensor order."""
         positions = occupants.positions
         moves_inside: List[Tuple[Optional[Point3], Point3]] = [
             (prev, pos) for prev, pos, inside in zip(
                 occupants.prev_positions, positions, occupants.insides)
             if inside]
         inside_positions = [pos for _, pos in moves_inside]
-
-        # -- sensor models, in sorted-sensor order --------------------------
-        advert_due = t >= next_advert - 1e-9
-        if advert_due:
-            next_advert += BLE_ADVERT_PERIOD
-        for sensor in sensors:
+        noise = self.noise
+        advert_due = self.advert_due(t)
+        events: List[SensorEvent] = []
+        for sensor in self.sensors:
             kind = sensor.kind
             payload: Optional[Payload] = None
             if kind is SensorKind.PIR:
                 fired = bool(moves_inside) and pir_model(
-                    sensor, moves_inside, tick, rng, noise.pir_miss_prob)
-                if sensor.id in next_fp:
-                    while next_fp[sensor.id] <= t:
+                    sensor, moves_inside, self.ticks.tick, self.rng,
+                    noise.pir_miss_prob)
+                if sensor.id in self.next_fp:
+                    while self.next_fp[sensor.id] <= t:
                         fired = True
-                        next_fp[sensor.id] += rng.expovariate(fp_rate)
+                        self.next_fp[sensor.id] += self.rng.expovariate(self.fp_rate)
                 if fired:
                     payload = PirMotion()
             elif kind is SensorKind.ULTRASONIC:
@@ -667,34 +703,134 @@ def simulate(scenario: Scenario) -> SimulationResult:
                 if distance is not None:
                     payload = UsPresence(distance=distance)
             elif kind is SensorKind.BLE_RECEIVER and advert_due:
-                for idx in beacon_indices:
-                    rssi = ble_model(sensor, positions[idx], scenario.fusion,
-                                     rng, noise.rssi_sigma_db)
-                    event = SensorEvent(
+                for idx, beacon_id in self.beacons:
+                    rssi = ble_model(sensor, positions[idx], self.params,
+                                     self.rng, noise.rssi_sigma_db)
+                    events.append(SensorEvent(
                         timestamp=t, source=sensor.id,
-                        payload=BleAdvert(beacon_id=occupants.ids[idx],
-                                          rssi=rssi))
-                    control.fusion.ingest(event)
-                    timeline.events.append(event)
+                        payload=BleAdvert(beacon_id=beacon_id, rssi=rssi)))
                 continue
             else:
                 continue
 
             if payload is None and sensor.hold_time > 0.0:
-                if t < latch_until.get(sensor.id, -math.inf):
-                    payload = latch_payload.get(sensor.id)
+                if t < self.latch_until.get(sensor.id, -math.inf):
+                    payload = self.latch_payload.get(sensor.id)
             elif payload is not None and sensor.hold_time > 0.0:
-                latch_until[sensor.id] = t + sensor.hold_time
-                latch_payload[sensor.id] = payload
+                self.latch_until[sensor.id] = t + sensor.hold_time
+                self.latch_payload[sensor.id] = payload
             if payload is not None:
-                event = SensorEvent(timestamp=t, source=sensor.id, payload=payload)
-                control.fusion.ingest(event)
-                timeline.events.append(event)
+                events.append(SensorEvent(timestamp=t, source=sensor.id,
+                                          payload=payload))
+        return events
 
-        # -- fuse and decide ------------------------------------------------
-        timeline.commands.extend(control.decide(k, t))
-        occupants.move_to(k + 1)
-        k += 1
+    def still_span(self, k: int, occupants: "_Occupants") -> Optional[
+            Tuple[int, SpanPayloads, SpanPayloads]]:
+        """A span of ticks from k on that each emit the same payloads and
+        draw nothing: nobody inside moved into tick k and nobody moves
+        before the stop, and no PIR false positive, latch end or (with RSSI
+        noise) advert falls before it. Returns the stop and the payloads of
+        a tick and of an advert tick, and leaves each latch as the span's
+        last tick leaves it; None if tick k starts no such span."""
+        stop = occupants.parked_until()
+        if stop <= k or any(
+                inside and prev is not None and prev != pos
+                for prev, pos, inside in zip(occupants.prev_positions,
+                                             occupants.positions,
+                                             occupants.insides)):
+            return None
+        ticks = self.ticks
+        if self.next_fp:
+            stop = min(stop, ticks.first_at(min(self.next_fp.values())))
+        advert_k = ticks.first_at(self.next_advert - 1e-9)
+        if self.noise.rssi_sigma_db > 0.0:
+            stop = min(stop, advert_k)
+        if stop <= k:
+            return None
+        t = ticks.time(k)
+        positions = occupants.positions
+        inside_positions = [pos for pos, inside in zip(positions, occupants.insides)
+                            if inside]
+        payloads: SpanPayloads = []
+        advert_payloads: SpanPayloads = []
+        fresh: List[Tuple[SensorSpec, Payload]] = []
+        for sensor in self.sensors:
+            kind = sensor.kind
+            payload: Optional[Payload] = None
+            if kind is SensorKind.BLE_RECEIVER:
+                if advert_k < stop:
+                    # noiseless: the same RSSI on every advert
+                    advert_payloads.extend(
+                        (sensor.id, BleAdvert(beacon_id=beacon_id, rssi=ble_model(
+                            sensor, positions[idx], self.params, self.rng, 0.0)))
+                        for idx, beacon_id in self.beacons)
+                continue
+            if kind is SensorKind.ULTRASONIC:
+                distance = us_model(sensor, inside_positions) \
+                    if inside_positions else None
+                if distance is not None:
+                    payload = UsPresence(distance=distance)
+            elif kind is not SensorKind.PIR:
+                continue
+            if sensor.hold_time > 0.0:
+                if payload is not None:
+                    fresh.append((sensor, payload))
+                elif t < self.latch_until.get(sensor.id, -math.inf):
+                    payload = self.latch_payload.get(sensor.id)
+                    stop = min(stop, ticks.first_at(self.latch_until[sensor.id]))
+            if payload is not None:
+                payloads.append((sensor.id, payload))
+                advert_payloads.append((sensor.id, payload))
+        last_t = ticks.time(stop - 1)
+        for sensor, payload in fresh:
+            self.latch_until[sensor.id] = last_t + sensor.hold_time
+            self.latch_payload[sensor.id] = payload
+        return stop, payloads, advert_payloads
+
+
+def simulate(scenario: Scenario) -> SimulationResult:
+    problems = validate_scenario(scenario)
+    if problems:
+        raise ScenarioError(problems)
+
+    room = scenario.room
+    ticks = _TickGrid(scenario)
+    control = _Control(scenario, ticks)
+    occupants = _Occupants(scenario, ticks)
+    sensing = _Sensing(scenario, ticks)
+    fusion = control.fusion
+
+    timeline = Timeline(scenario_name=scenario.name, start_time=ticks.start,
+                        end_time=ticks.time(ticks.count), tick=ticks.tick,
+                        probe_names=tuple(name for name, _ in _probe_points(room)))
+    events, commands = timeline.events, timeline.commands
+
+    k = 0
+    while k < ticks.count:
+        span = sensing.still_span(k, occupants)
+        if span is None:
+            t = ticks.time(k)
+            for event in sensing.tick(t, occupants):
+                fusion.ingest(event)
+                events.append(event)
+            commands.extend(control.decide(k, t))
+            k += 1
+        else:
+            stop, payloads, advert_payloads = span
+            while k < stop:
+                t = ticks.time(k)
+                for source, payload in (advert_payloads if sensing.advert_due(t)
+                                        else payloads):
+                    event = SensorEvent(timestamp=t, source=source, payload=payload)
+                    fusion.ingest(event)
+                    events.append(event)
+                commands.extend(control.decide(k, t))
+                k += 1
+                if not payloads and k < control.next_k:
+                    # no event and no step before the next control tick or advert
+                    k = min(control.next_k, stop,
+                            ticks.first_at(sensing.next_advert - 1e-9))
+        occupants.move_to(k)
 
     timeline.probe_samples, spans, safety = _expose(scenario, timeline.commands)
     timeline.lamp_intervals = {
@@ -728,7 +864,8 @@ def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampComman
         k += 1
         if k < control.next_k:
             next_event = events[i].timestamp if i < len(events) else math.inf
-            k = min(control.next_k, ticks.first_at(next_event))
+            if next_event > ticks.time(k):
+                k = min(control.next_k, ticks.first_at(next_event))
     return commands
 
 
@@ -803,14 +940,13 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand]) -> Tuple[
     ci = 0
     k = 0
     while k < ticks.count:
-        # -- jump over ticks on which observe() changes nothing --------------
-        # tick 0 starts the entry clocks of those inside, and the skipped
-        # ticks' clocks of those outside are set afresh by tick stop-1
+        # -- cross ticks on which nobody moves and no lamp switches ----------
+        # tick 0 starts the entry clocks of those inside
         stop = occupants.parked_until() if 0 < k and not lamps.force_on else 0
         if stop > k + 1 and ci < len(commands):
             stop = min(stop, ticks.first_at(commands[ci].timestamp))
-        if stop > k + 1 and not (any(occupants.insides) and any(
-                l.emits_downward for l in lamps.on.values())):
+        if stop > k + 1 and audit.still(ticks.time(k), occupants.positions,
+                                        occupants.insides, lamps.on, stop - 1 - k):
             # tick stop-1 runs the loop body, whose audit covers the move
             # into tick stop
             samples.extend(itertools.repeat(values, stop - 1 - k))

@@ -27,10 +27,11 @@ from uvcguard.controller import (
     step,
     write_command_log,
 )
-from uvcguard.fusion import (FusionParams, OccupancySnapshot, PirMotion,
-                             SensorEvent)
+from uvcguard.fusion import (BleAdvert, FusionParams, ManualOff, ManualRearm,
+                             OccupancySnapshot, PirMotion, SensorEvent,
+                             UsPresence, distance_to_rssi, sort_events)
 from uvcguard.room import default_room
-from uvcguard.simulator import NoiseParams, Scenario, replay
+from uvcguard.simulator import NoiseParams, Scenario, _Control, _TickGrid, replay
 
 ROOM = default_room()
 POLICY = CyclePolicy()
@@ -416,6 +417,66 @@ def test_a_quiet_snapshot_does_nothing_before_next_due_at(
     after, commands = step(state, quiet, later, policy)
     assert commands == []
     assert after == before
+
+
+_TWIN_PAYLOADS = [
+    ("pir_1", PirMotion()),
+    ("us_desk_2", UsPresence(distance=1.2)),
+    ("us_desk_2", UsPresence(distance=2.5)),                 # out of range
+    ("ble_door", BleAdvert("badge", distance_to_rssi(3.0, FusionParams()))),
+    ("ble_door", BleAdvert("badge", distance_to_rssi(8.0, FusionParams()))),
+    ("ble_door", BleAdvert("badge", 5.0)),                   # anomaly
+    ("kill_switch", ManualOff()),
+    ("kill_switch", ManualRearm()),
+]
+
+# (ticks since the last burst, payload, ticks it repeats on, lag in ticks)
+_bursts = st.lists(st.tuples(st.integers(0, 80),
+                             st.sampled_from(range(len(_TWIN_PAYLOADS))),
+                             st.integers(1, 40),
+                             st.floats(0.0, 1.0, exclude_max=True)),
+                   max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bursts, st.sampled_from([0.1, 0.5, 1.0]), st.integers(0, 600),
+       st.booleans(), st.sampled_from([0.0, 3.0, 15.0]),
+       st.sampled_from([0.0, 10.0]), st.sampled_from([0.0, 19800.0]))
+def test_skipping_control_matches_a_twin_that_steps_every_tick(
+        bursts, tick, before_midnight, vacant, pir_hold, us_hold, tz_offset):
+    # short cycles and gaps, so that the rules fire within a few hundred
+    # ticks, and a run that crosses a local midnight
+    policy = CyclePolicy(ceiling_cycle=60.0, desk_cycle=40.0,
+                         upper_room_cycle=30.0, upper_room_period=200.0,
+                         vacancy_grace=30.0, desk_quiet_gap=20.0,
+                         tz_offset=tz_offset)
+    count = sum(gap + repeats for gap, _, repeats, _ in bursts) + int(120 / tick)
+    scenario = Scenario(
+        name="twin", room=ROOM, policy=policy,
+        fusion=FusionParams(pir_hold=pir_hold, us_hold=us_hold),
+        occupants=(), start_time=MIDNIGHT - tz_offset - before_midnight * tick,
+        duration=count * tick, tick=tick, assume_vacant_at_start=vacant)
+    ticks = _TickGrid(scenario)
+    events, k = [], 0
+    for gap, index, repeats, lag in bursts:
+        k += gap
+        source, payload = _TWIN_PAYLOADS[index]
+        for j in range(k, k + repeats):
+            events.append(SensorEvent(ticks.time(j) - lag * tick, source, payload))
+        k += repeats
+    events = sort_events(events)
+    skipper, twin = _Control(scenario, ticks), _Control(scenario, ticks)
+    i = 0
+    for k in range(ticks.count):
+        t = ticks.time(k)
+        while i < len(events) and events[i].timestamp <= t:
+            skipper.fusion.ingest(events[i])
+            twin.fusion.ingest(events[i])
+            i += 1
+        twin.next_k = k           # the twin steps on every tick
+        assert skipper.decide(k, t) == twin.decide(k, t)
+        if skipper.stepped == k:
+            assert skipper.state == twin.state
 
 
 # ---------------------------------------------------------------------------

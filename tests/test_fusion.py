@@ -264,6 +264,65 @@ def test_step_inputs_hold_until_next_change_at(raw_events, wait, frac):
 
 
 # ---------------------------------------------------------------------------
+# ``ingested``: raised only by events that can change a step input
+# ---------------------------------------------------------------------------
+
+def _ingested_after(f: OccupancyFusion, event: SensorEvent) -> bool:
+    f.snapshot(event.timestamp)
+    f.ingest(event)
+    return f.ingested
+
+
+def test_ingested_rises_only_when_a_window_opens_or_a_switch_is_pressed():
+    f = fusion()
+    near = distance_to_rssi(3.0, PARAMS)
+    far = distance_to_rssi(8.0, PARAMS)
+    steps = [
+        (ev(0.0, "pir_1", PirMotion()), True),                 # opens motion
+        (ev(1.0, "pir_2", PirMotion()), False),                # extends it
+        (ev(15.0, "pir_1", PirMotion()), False),               # open till 16
+        (ev(30.0, "pir_1", PirMotion()), True),                # closed at 30
+        (ev(30.0, "us_desk_2", UsPresence(distance=2.5)), False),  # out of range
+        (ev(31.0, "us_desk_2", UsPresence(distance=1.2)), True),
+        (ev(31.1, "us_desk_2", UsPresence(distance=1.2)), False),
+        (ev(32.0, "ble_door", BleAdvert("badge", far)), False),
+        (ev(33.0, "ble_door", BleAdvert("badge", near)), True),
+        (ev(34.0, "ble_door", BleAdvert("badge", near)), False),
+        (ev(35.0, "ble_door", BleAdvert("badge", 12.0)), True),   # anomaly
+        (ev(36.0, "ble_door", BleAdvert("badge", 12.0)), False),
+        (ev(37.0, "kill_switch", ManualOff()), True),
+        (ev(38.0, "kill_switch", ManualOff()), True),
+        (ev(39.0, "kill_switch", ManualRearm()), True),
+    ]
+    assert [_ingested_after(f, e) for e, _ in steps] == [up for _, up in steps]
+    # a zero hold opens no window
+    still = OccupancyFusion(default_room(), FusionParams(pir_hold=0.0, us_hold=0.0))
+    assert not _ingested_after(still, ev(0.0, "pir_1", PirMotion()))
+    assert not _ingested_after(still, ev(0.0, "us_desk_2", UsPresence(1.2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 100.0), _any_payload), max_size=8),
+       st.floats(0.0, 25.0), _any_payload,
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_an_ingest_that_leaves_ingested_down_changes_no_step_input(
+        raw_events, wait, extra, frac):
+    f, twin = fusion(), fusion()
+    for event in sort_events([ev(t, src, p) for t, (src, p) in raw_events]):
+        f.ingest(event)
+        twin.ingest(event)
+    ts = max((t for t, _ in raw_events), default=0.0) + wait
+    assume(not _ingested_after(f, ev(ts, *extra)))
+    # the picture stays as it was without the event, up to the first end
+    # of a window, which the event may only have moved later
+    change = f.next_change_at(ts)
+    assert change >= twin.next_change_at(ts)
+    t = ts + frac * (min(change, ts + 100.0) - ts)
+    assume(t < change)
+    assert _step_inputs(f.snapshot(t)) == _step_inputs(twin.snapshot(ts))
+
+
+# ---------------------------------------------------------------------------
 # event-log CSV
 # ---------------------------------------------------------------------------
 

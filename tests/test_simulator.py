@@ -19,8 +19,9 @@ from uvcguard.dosimetry import DoseGrid, accumulate_dose, irradiance_at_point
 from uvcguard.fusion import (BleAdvert, FusionParams, distance_to_rssi,
                              read_event_log, write_event_log)
 from uvcguard.room import LampTier, Point3, SensorKind, default_room
-from uvcguard.scenarios import (midnight_scenario, random_walk_scenario,
-                                reference_scenarios, scenario_d)
+from uvcguard.scenarios import (MIDNIGHT_START, midnight_scenario,
+                                random_walk_scenario, reference_scenarios,
+                                scenario_d)
 from uvcguard.simulator import (
     CHEST_HEIGHT,
     MAX_TICKS,
@@ -450,16 +451,43 @@ def test_walker_scenario_is_exposure_free():
     assert result.safety.total_occupant_dose == {"walker": 0.0}
 
 
+def test_a_still_span_adds_the_dose_observe_adds():
+    # desk 2's lamp lit over a worker seated at desk 1, outside its zone
+    sc = make_scenario([seated()])
+    lit = {"desk_2": next(l for l in ROOM.lamps if l.id == "desk_2")}
+    pos = Point3(2.15, 0.6, 1.0)
+    t0 = START + 10.0
+    observed = simulator._SafetyAccumulator(sc, ["sitter"])
+    spanned = simulator._SafetyAccumulator(sc, ["sitter"])
+    for audit in (observed, spanned):
+        audit.observe(t0, "sitter", pos, True, pos, True, lit)
+    for k in range(1, 51):
+        observed.observe(t0 + k * sc.tick, "sitter", pos, True, pos, True, lit)
+    assert spanned.still(t0 + sc.tick, [pos], [True], lit, 50)
+    assert spanned.report() == observed.report()
+    assert observed.dose["sitter"] > 0.0
+    # an entry clock that starts after the span's first tick does, or a lit
+    # ceiling lamp, could make a tick differ from the rest: no span
+    late = simulator._SafetyAccumulator(sc, ["sitter"])
+    late.entered_at["sitter"] = t0 + 1e-6
+    assert not late.still(t0, [pos], [True], lit, 50)
+    ceiling = {"ceiling_1": next(l for l in ROOM.lamps if l.id == "ceiling_1")}
+    assert not spanned.still(t0 + 6.0, [pos], [True], ceiling, 50)
+    assert spanned.report() == observed.report()
+
+
 # ---------------------------------------------------------------------------
 # offline audit agreement
 # ---------------------------------------------------------------------------
 
-def unseen(script: OccupantScript) -> Scenario:
-    """``script`` in a room assumed vacant and without the upper-room lamp,
-    so that no command falls at tick 0. The cycle at 60 s lights every
-    lamp, and an occupant whom no sensor sees does not stop it."""
+def unseen(script: OccupantScript,
+           tiers=(LampTier.CEILING, LampTier.DESK)) -> Scenario:
+    """``script`` in a room assumed vacant and with only the lamps of
+    ``tiers``, never the upper-room lamp, so that no command falls at tick
+    0. The cycle at 60 s lights every lamp, and an occupant whom no sensor
+    sees does not stop it."""
     room = dataclasses.replace(ROOM, lamps=tuple(
-        l for l in ROOM.lamps if l.tier is not LampTier.UPPER_ROOM))
+        l for l in ROOM.lamps if l.tier in tiers))
     return make_scenario([script], room=room, assume_vacant_at_start=True)
 
 
@@ -528,16 +556,41 @@ NEXT_EVENT_RUNS = {
     # dark and lit spans with someone inside whom no sensor sees
     "unseen_sitter": lambda: unseen(seated()),
     "unseen_creeper": lambda: unseen(creeper()),
+    # desk 2's lamp alone lit over someone in its zone but out of its
+    # ultrasonic cone: each tick's audit falls back to observe
+    "unseen_desk_sitter": lambda: unseen(seated(x=2.75, y=5.0),
+                                         tiers=(LampTier.DESK,)),
     # with no fusion hold, a seated worker's ultrasonic events keep no
     # window open: only someone being inside stops the control pass's jump
     "zero_hold_B": lambda: dataclasses.replace(
         reference_scenarios()["B"], duration=300.0,
         fusion=FusionParams(pir_hold=0.0, us_hold=0.0)),
+    # a latched ultrasonic sensor re-emits on every tick, and a PIR latch
+    # stays open after each nudge
+    "held_B": lambda: dataclasses.replace(
+        reference_scenarios()["B"], duration=1500.0, room=_HELD_ROOM),
+    # adverts draw from the generator: each one cuts a still span
+    "noisy_B": lambda: dataclasses.replace(
+        reference_scenarios()["B"], duration=1500.0, noise=_NOISY),
+    # a desk lamp forced on over its seated worker: a violation on every
+    # tick of the window, all from the per-tick audit
+    "forced_desk_B": lambda: dataclasses.replace(
+        reference_scenarios()["B"], duration=1500.0,
+        unsafe_force_on={"desk_2": ((300.0, 400.0),)}),
+    # no still span may start while the walker moves
+    "sitter_and_walker": lambda: dataclasses.replace(
+        reference_scenarios()["B"], duration=1500.0,
+        occupants=reference_scenarios()["B"].occupants + (walker(1500.0),)),
+    # a local midnight falls inside a still span with adverts folded in
+    "midnight_sitter": lambda: dataclasses.replace(
+        reference_scenarios()["B"], duration=4800.0,
+        start_time=MIDNIGHT_START + 600.0),
 }
 
 
-def _outputs(scenario):
+def _outputs(scenario, after_simulate=lambda: None):
     result = simulate(scenario)
+    after_simulate()
     return (render(result), result.safety,
             safety_check(result.timeline, scenario),
             replay(scenario, result.timeline.events))
@@ -552,7 +605,19 @@ def test_next_event_advance_equals_stepping_every_tick(run, monkeypatch):
     monkeypatch.setattr(simulator, "next_due_at", lambda *args: -math.inf)
     monkeypatch.setattr(simulator._OccupantTracker, "parked_until",
                         lambda self: -math.inf)
-    stepped = _outputs(scenario)
+    # each pass moves the occupants into every tick, one at a time: a span
+    # that takes its stop from anything but parked_until skips some
+    moves = []
+    move_to = simulator._Occupants.move_to
+    monkeypatch.setattr(simulator._Occupants, "move_to",
+                        lambda self, k: (moves.append(k), move_to(self, k))[1])
+
+    def one_move_per_tick():
+        count = int(round(scenario.duration / scenario.tick))
+        assert moves == [*range(count + 1)] * 2
+        moves.clear()
+
+    stepped = _outputs(scenario, one_move_per_tick)
     assert jumped[0] == stepped[0]
     assert jumped[1] == stepped[1]
     assert jumped[2] == stepped[2]
