@@ -143,8 +143,8 @@ class OccupancyFusion:
     clears and ``ingest`` sets only for an event that can change a field
     the controller reads: one that opens a motion, anomaly, zone or
     approach window closed at its timestamp, or a manual kill or rearm.
-    An event that extends an open window leaves it down; the window's
-    first end, ``next_change_at``, still falls as it did.
+    An event that extends an open window leaves it down: its caller steps
+    at the window's old end anyway, which ``next_change_at`` gave it.
     """
 
     def __init__(self, room: RoomModel, params: Optional[FusionParams] = None):
