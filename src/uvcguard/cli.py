@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -174,14 +175,17 @@ def _run_and_write(scenario: Scenario, outdir: Path, command: str) -> Simulation
         with open(outdir / filename, "w") as f:
             writer(f)
 
+    tick = scenario.tick
     manifest.update({
         "status": "complete",
         "elapsed_s": round(elapsed, 6),
         "outputs": sorted(outputs),
         "event_count": len(result.timeline.events),
         "command_count": len(result.timeline.commands),
+        # whole ticks, as the dose grid counts them: a sum of epoch
+        # differences carries their rounding
         "lamp_on_seconds": {
-            lamp: round(sum(e - s for s, e in spans), 6)
+            lamp: round(sum(round((e - s) / tick) for s, e in spans) * tick, 6)
             for lamp, spans in sorted(result.timeline.lamp_intervals.items())},
         "safety": {"verdict": result.safety.verdict,
                    "violation_count": result.safety.violation_count},
@@ -211,7 +215,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if result.safety.passed else EXIT_SAFETY_FAIL
 
 
+def _check_dose_flags(args: argparse.Namespace) -> None:
+    """Reject dose-map flags that would divide by zero or write nan."""
+    for flag in ("cycle", "target_dose"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0.0 < value < math.inf:
+            raise InputError(f"--{flag.replace('_', '-')} must be finite "
+                             f"and > 0, got {value}")
+    plane_height = getattr(args, "plane_height", None)
+    if plane_height is not None and not math.isfinite(plane_height):
+        raise InputError(f"--plane-height must be finite, got {plane_height}")
+
+
 def cmd_dosemap(args: argparse.Namespace) -> int:
+    _check_dose_flags(args)
     room = _load_room_arg(args.room)
     tiers = {"downward": (LampTier.CEILING, LampTier.DESK),
              "ceiling": (LampTier.CEILING,),
@@ -300,6 +317,7 @@ def _fuzz_one(seed: int) -> Dict[str, object]:
 
 
 def cmd_reference_suite(args: argparse.Namespace) -> int:
+    _check_dose_flags(args)
     root = _out_root(args.out)
     root.mkdir(parents=True, exist_ok=True)
     suite_manifest = {

@@ -20,14 +20,18 @@ rule due (``next_change_at``, ``next_due_at``); on every other tick a step
 would only renew the recency stamps of open windows, which the next step
 restamps with the last skipped tick. While nobody inside moves and nobody
 moves before the next waypoint, every tick emits the same sensor payloads
-and draws nothing: the control pass repeats them in a still span up to that
-waypoint, the next PIR false positive, the end of an open latch or, with
-RSSI noise, the next BLE advert, and crosses the ticks that emit nothing in
-one jump. The exposure pass jumps from tick 1 on while nobody moves and no
-lamp is forced on, up to the next command or waypoint, adding the dose of
-the skipped ticks at once, unless a ceiling lamp is lit with anyone inside
-or a desk lamp over someone in its zone. replay() jumps to the next control
-tick or event. The output is the same byte for byte as stepping every tick.
+and draws nothing. Such a still span runs up to that waypoint, the next PIR
+false positive, the end of an open latch or, with RSSI noise, the next BLE
+advert, and no span starts on a tick into which someone inside moved or on
+which a false positive falls. Its ticks repeat the payloads that the sensor
+models made on its first tick, or on its first advert tick; the models run
+again on its last tick, so that every latch ends where stepping each tick
+leaves it, and ticks that emit nothing are crossed in one jump. The
+exposure pass jumps from tick 1 on while nobody moves and no lamp is forced
+on, up to the next command or waypoint, adding the dose of the skipped
+ticks at once, unless a ceiling lamp is lit with anyone inside or a desk
+lamp over someone in its zone. replay() jumps to the next control tick or
+event. The output is the same byte for byte as stepping every tick.
 
 Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 """
@@ -192,7 +196,7 @@ def validate_scenario(sc: Scenario) -> List[str]:
         if not 1 <= count <= MAX_TICKS:
             problems.append(f"duration / tick gives {count} ticks; "
                             f"it must be in [1, {MAX_TICKS}]")
-    if sc.policy.reaction_deadline and sc.tick > max(sc.policy.reaction_deadline, 1e-9):
+    if sc.tick > sc.policy.reaction_deadline:
         problems.append("tick must not exceed the reaction deadline")
     occupant_ids: Set[str] = set()
     for occ in sc.occupants:
@@ -638,15 +642,13 @@ class _Occupants:
         self.insides = [flag or self.room.contains(pos) for pos, flag in states]
 
 
-SpanPayloads = List[Tuple[str, Payload]]
-
-
 class _Sensing:
     """The sensor models of a run and what they carry from tick to tick:
     a false-positive Poisson clock per PIR sensor, the hardware output
     latches (``hold_time`` > 0 keeps re-emitting) and the BLE advert clock.
     All randomness of a run comes from ``rng``, drawn in sorted-sensor order
-    within each tick."""
+    within each tick. ``tick`` is the only code that evaluates them: a still
+    span repeats what it made and runs it again on the span's last tick."""
 
     def __init__(self, scenario: Scenario, ticks: _TickGrid):
         self.ticks = ticks
@@ -659,8 +661,7 @@ class _Sensing:
             s.id: ticks.start + rng.expovariate(self.fp_rate)
             for s in self.sensors
             if s.kind is SensorKind.PIR} if self.fp_rate > 0.0 else {}
-        self.latch_until: Dict[str, float] = {}
-        self.latch_payload: Dict[str, Payload] = {}
+        self.latches: Dict[str, Tuple[float, Payload]] = {}   # until, payload
         self.beacons = [(i, o.occupant_id) for i, o in enumerate(scenario.occupants)
                         if o.carries_beacon]
         # adverts matter only when someone carries a beacon
@@ -673,8 +674,11 @@ class _Sensing:
             return True
         return False
 
-    def tick(self, t: float, occupants: "_Occupants") -> List[SensorEvent]:
-        """The events of the tick at t, in sorted-sensor order."""
+    def tick(self, t: float, occupants: "_Occupants",
+             advert: bool) -> List[Tuple[str, Payload]]:
+        """The (source, payload) pairs of the events of the tick at t, in
+        sorted-sensor order; ``advert`` says whether the beacons advertise
+        on it."""
         positions = occupants.positions
         moves_inside: List[Tuple[Optional[Point3], Point3]] = [
             (prev, pos) for prev, pos, inside in zip(
@@ -682,8 +686,7 @@ class _Sensing:
             if inside]
         inside_positions = [pos for _, pos in moves_inside]
         noise = self.noise
-        advert_due = self.advert_due(t)
-        events: List[SensorEvent] = []
+        payloads: List[Tuple[str, Payload]] = []
         for sensor in self.sensors:
             kind = sensor.kind
             payload: Optional[Payload] = None
@@ -702,90 +705,51 @@ class _Sensing:
                     if inside_positions else None
                 if distance is not None:
                     payload = UsPresence(distance=distance)
-            elif kind is SensorKind.BLE_RECEIVER and advert_due:
+            elif kind is SensorKind.BLE_RECEIVER and advert:
                 for idx, beacon_id in self.beacons:
                     rssi = ble_model(sensor, positions[idx], self.params,
                                      self.rng, noise.rssi_sigma_db)
-                    events.append(SensorEvent(
-                        timestamp=t, source=sensor.id,
-                        payload=BleAdvert(beacon_id=beacon_id, rssi=rssi)))
+                    payloads.append((sensor.id, BleAdvert(beacon_id=beacon_id,
+                                                          rssi=rssi)))
                 continue
             else:
                 continue
 
             if payload is None and sensor.hold_time > 0.0:
-                if t < self.latch_until.get(sensor.id, -math.inf):
-                    payload = self.latch_payload.get(sensor.id)
+                until, held = self.latches.get(sensor.id, (-math.inf, None))
+                if t < until:
+                    payload = held
             elif payload is not None and sensor.hold_time > 0.0:
-                self.latch_until[sensor.id] = t + sensor.hold_time
-                self.latch_payload[sensor.id] = payload
+                self.latches[sensor.id] = (t + sensor.hold_time, payload)
             if payload is not None:
-                events.append(SensorEvent(timestamp=t, source=sensor.id,
-                                          payload=payload))
-        return events
+                payloads.append((sensor.id, payload))
+        return payloads
 
-    def still_span(self, k: int, occupants: "_Occupants") -> Optional[
-            Tuple[int, SpanPayloads, SpanPayloads]]:
-        """A span of ticks from k on that each emit the same payloads and
-        draw nothing: nobody inside moved into tick k and nobody moves
-        before the stop, and no PIR false positive, latch end or (with RSSI
-        noise) advert falls before it. Returns the stop and the payloads of
-        a tick and of an advert tick, and leaves each latch as the span's
-        last tick leaves it; None if tick k starts no such span."""
+    def still_until(self, k: int, occupants: "_Occupants") -> int:
+        """The last tick of a still span from tick k, or k + 1 if tick k
+        starts none. The ticks in between make the payloads of tick k, or
+        of the span's first advert tick, and draw nothing: nobody moves
+        before the span ends, and no PIR false positive, end of an open
+        latch or (with RSSI noise) advert falls in it. No span starts on a
+        tick into which an inside occupant moved or on which a false
+        positive falls."""
         stop = occupants.parked_until()
-        if stop <= k or any(
+        if stop <= k + 1 or any(
                 inside and prev is not None and prev != pos
                 for prev, pos, inside in zip(occupants.prev_positions,
                                              occupants.positions,
                                              occupants.insides)):
-            return None
+            return k + 1
         ticks = self.ticks
         if self.next_fp:
             stop = min(stop, ticks.first_at(min(self.next_fp.values())))
-        advert_k = ticks.first_at(self.next_advert - 1e-9)
         if self.noise.rssi_sigma_db > 0.0:
-            stop = min(stop, advert_k)
-        if stop <= k:
-            return None
+            stop = min(stop, ticks.first_at(self.next_advert - 1e-9))
         t = ticks.time(k)
-        positions = occupants.positions
-        inside_positions = [pos for pos, inside in zip(positions, occupants.insides)
-                            if inside]
-        payloads: SpanPayloads = []
-        advert_payloads: SpanPayloads = []
-        fresh: List[Tuple[SensorSpec, Payload]] = []
-        for sensor in self.sensors:
-            kind = sensor.kind
-            payload: Optional[Payload] = None
-            if kind is SensorKind.BLE_RECEIVER:
-                if advert_k < stop:
-                    # noiseless: the same RSSI on every advert
-                    advert_payloads.extend(
-                        (sensor.id, BleAdvert(beacon_id=beacon_id, rssi=ble_model(
-                            sensor, positions[idx], self.params, self.rng, 0.0)))
-                        for idx, beacon_id in self.beacons)
-                continue
-            if kind is SensorKind.ULTRASONIC:
-                distance = us_model(sensor, inside_positions) \
-                    if inside_positions else None
-                if distance is not None:
-                    payload = UsPresence(distance=distance)
-            elif kind is not SensorKind.PIR:
-                continue
-            if sensor.hold_time > 0.0:
-                if payload is not None:
-                    fresh.append((sensor, payload))
-                elif t < self.latch_until.get(sensor.id, -math.inf):
-                    payload = self.latch_payload.get(sensor.id)
-                    stop = min(stop, ticks.first_at(self.latch_until[sensor.id]))
-            if payload is not None:
-                payloads.append((sensor.id, payload))
-                advert_payloads.append((sensor.id, payload))
-        last_t = ticks.time(stop - 1)
-        for sensor, payload in fresh:
-            self.latch_until[sensor.id] = last_t + sensor.hold_time
-            self.latch_payload[sensor.id] = payload
-        return stop, payloads, advert_payloads
+        for end, _ in self.latches.values():
+            if t < end:
+                stop = min(stop, ticks.first_at(end))
+        return max(stop - 1, k + 1)
 
 
 def simulate(scenario: Scenario) -> SimulationResult:
@@ -807,29 +771,31 @@ def simulate(scenario: Scenario) -> SimulationResult:
 
     k = 0
     while k < ticks.count:
-        span = sensing.still_span(k, occupants)
-        if span is None:
+        # tick k runs the sensor models. The ticks after it in a still span
+        # repeat the payloads that the models made on its first tick without
+        # an advert (repeats[False]) or with one (repeats[True]), up to the
+        # span's last tick: that one starts the next round and runs the
+        # models again, so that the latches of sensors that keep firing end
+        # where stepping every tick leaves them
+        until = sensing.still_until(k, occupants)
+        repeats: List[Optional[List[Tuple[str, Payload]]]] = [None, None]
+        while k < until:
             t = ticks.time(k)
-            for event in sensing.tick(t, occupants):
+            advert = sensing.advert_due(t)
+            payloads = repeats[advert]
+            if payloads is None:
+                payloads = repeats[advert] = sensing.tick(t, occupants, advert)
+                quiet = repeats[False] == []
+            for source, payload in payloads:
+                event = SensorEvent(timestamp=t, source=source, payload=payload)
                 fusion.ingest(event)
                 events.append(event)
             commands.extend(control.decide(k, t))
             k += 1
-        else:
-            stop, payloads, advert_payloads = span
-            while k < stop:
-                t = ticks.time(k)
-                for source, payload in (advert_payloads if sensing.advert_due(t)
-                                        else payloads):
-                    event = SensorEvent(timestamp=t, source=source, payload=payload)
-                    fusion.ingest(event)
-                    events.append(event)
-                commands.extend(control.decide(k, t))
-                k += 1
-                if not payloads and k < control.next_k:
-                    # no event and no step before the next control tick or advert
-                    k = min(control.next_k, stop,
-                            ticks.first_at(sensing.next_advert - 1e-9))
+            if quiet and k < until and k < control.next_k:
+                # no event and no step before the next control tick or advert
+                k = min(control.next_k, until,
+                        ticks.first_at(sensing.next_advert - 1e-9))
         occupants.move_to(k)
 
     timeline.probe_samples, spans, safety = _expose(scenario, timeline.commands)

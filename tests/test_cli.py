@@ -66,6 +66,15 @@ def test_manifest_elapsed_keeps_microseconds(tmp_path, monkeypatch):
     assert manifest["elapsed_s"] == 0.006123
 
 
+def test_manifest_counts_lamp_on_time_in_whole_ticks(tmp_path):
+    # desk 2 burns 27,836 ticks of 0.1 s in A; summed epoch differences
+    # read 2783.599999
+    assert main(["simulate", "--scenario", "A",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "A" / "manifest.json").read_text())
+    assert manifest["lamp_on_seconds"]["desk_2"] == 2783.6
+
+
 def test_simulate_same_seed_is_byte_identical(tmp_path):
     assert main(["simulate", "--scenario", "fuzz:1",
                  "--out", str(tmp_path / "run1")]) == EXIT_OK
@@ -153,6 +162,23 @@ def test_dosemap_tier_filter(tmp_path, capsys):
     assert "covered=1.000" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["dosemap", "--target-dose", "0"],
+    ["dosemap", "--target-dose", "nan"],
+    ["dosemap", "--cycle", "nan"],
+    ["dosemap", "--cycle", "-5"],
+    ["dosemap", "--cycle", "inf"],
+    ["dosemap", "--plane-height", "nan"],
+    ["reference-suite", "--cycle", "0", "--fuzz", "0"],
+])
+def test_bad_dose_map_flags_are_input_errors(argv, tmp_path, capsys):
+    # they divided by zero or wrote nan log reductions
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -218,6 +244,14 @@ def test_non_finite_settings_are_input_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == EXIT_INPUT_ERROR
     assert "tz_offset must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_zero_reaction_deadline_is_an_input_error(tmp_path, capsys):
+    # no tick meets it: D ran and failed its own audit with 2 violations
+    assert main(["simulate", "--scenario", "D", "--reaction-deadline", "0",
+                 "--out", str(tmp_path / "out")]) == EXIT_INPUT_ERROR
+    assert "tick must not exceed the reaction deadline" in \
+        capsys.readouterr().err
 
 
 def test_scenario_name_cannot_leave_the_output_directory(tmp_path, capsys):

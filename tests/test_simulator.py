@@ -176,9 +176,11 @@ def test_validate_scenario_rejects_bad_tick():
 
 def test_validate_scenario_ties_tick_to_reaction_deadline():
     sc = make_scenario([seated()])
-    sc = dataclasses.replace(
-        sc, policy=CyclePolicy(reaction_deadline=0.05), tick=0.1)
-    assert any("reaction deadline" in p for p in validate_scenario(sc))
+    # a zero deadline is a legal policy that no tick can meet
+    for deadline in (0.05, 0.0):
+        bad = dataclasses.replace(
+            sc, policy=CyclePolicy(reaction_deadline=deadline), tick=0.1)
+        assert any("reaction deadline" in p for p in validate_scenario(bad))
 
 
 def test_validate_scenario_rejects_disordered_waypoints():
@@ -581,6 +583,11 @@ NEXT_EVENT_RUNS = {
     "sitter_and_walker": lambda: dataclasses.replace(
         reference_scenarios()["B"], duration=1500.0,
         occupants=reference_scenarios()["B"].occupants + (walker(1500.0),)),
+    # a latched ultrasonic sensor that fires through a still span holds
+    # past its end: the worker at desk 2 leaves its cone off the tick grid
+    "held_leaver": lambda: make_scenario([OccupantScript("leaver", False, (
+        wp(0.0, 2.15, 5.0), wp(199.95, 2.15, 5.0),
+        wp(200.0, 2.15, 2.8), wp(400.0, 2.15, 2.8)))], room=_HELD_ROOM),
     # a local midnight falls inside a still span with adverts folded in
     "midnight_sitter": lambda: dataclasses.replace(
         reference_scenarios()["B"], duration=4800.0,
