@@ -37,7 +37,8 @@ from .room import (LampTier, RoomConfigError, RoomModel, default_room,
 from .scenarios import (load_scenario, midnight_scenario, random_walk_scenario,
                         reference_scenarios, serialize_scenario)
 from .simulator import (Scenario, ScenarioError, SimulationResult, replay,
-                        simulate, write_dose_grid_csv, write_probe_log)
+                        simulate, validate_scenario, write_dose_grid_csv,
+                        write_probe_log)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -141,7 +142,11 @@ def _safety_doc(result: SimulationResult) -> dict:
 
 
 def _run_and_write(scenario: Scenario, outdir: Path, command: str) -> SimulationResult:
-    """Simulate one scenario, writing a manifest before and after the run."""
+    """Simulate one scenario, writing a manifest before and after the run.
+    An invalid scenario raises before the run's directory is made."""
+    problems = validate_scenario(scenario)
+    if problems:
+        raise ScenarioError(problems)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_path = outdir / "manifest.json"
     manifest = {

@@ -13,7 +13,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .room import (RoomModel, SensorKind, SensorSpec, angle_between_deg, Point3,
                    require_finite)
@@ -70,7 +71,7 @@ class SensorEvent:
 
 def sort_events(events: Sequence[SensorEvent]) -> List[SensorEvent]:
     """Total order: by timestamp, ties broken by source id."""
-    return sorted(events, key=lambda e: (e.timestamp, e.source))
+    return sorted(events, key=attrgetter("timestamp", "source"))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +300,8 @@ _KIND_US = "US"
 _KIND_BLE = "BLE"
 _KIND_MANUAL_OFF = "MANUAL_OFF"
 _KIND_MANUAL_REARM = "MANUAL_REARM"
+# tails the log writer and reader keep; a still span repeats a few per source
+_TAILS_CACHED = 256
 
 
 def event_to_row(event: SensorEvent) -> Tuple[str, str, str, str, str]:
@@ -317,46 +320,74 @@ def event_to_row(event: SensorEvent) -> Tuple[str, str, str, str, str]:
     raise ValueError(f"cannot serialize payload {type(p).__name__}")
 
 
-def write_event_log(events: Sequence[SensorEvent], stream) -> None:
+def write_event_log(events: Iterable[SensorEvent], stream) -> None:
+    """Write events as CSV rows in the order given, one at a time. A row is
+    the event's ``repr`` timestamp and the tail that ``event_to_row`` gives
+    its source and payload. Rows whose source and payload object repeat, as
+    those of a still span do, share one formatted tail."""
     stream.write(EVENT_LOG_HEADER + "\n")
+    # (source, payload id) -> (payload, tail). An entry holds its payload,
+    # so no other object can take that id while the entry lives.
+    tails: Dict[Tuple[str, int], Tuple[Payload, str]] = {}
     for event in events:
-        stream.write(",".join(event_to_row(event)) + "\n")
+        key = (event.source, id(event.payload))
+        cached = tails.get(key)
+        if cached is None:
+            if len(tails) == _TAILS_CACHED:
+                tails.clear()
+            cached = tails[key] = (
+                event.payload, "," + ",".join(event_to_row(event)[1:]) + "\n")
+        stream.write(repr(event.timestamp) + cached[1])
 
 
 def read_event_log(stream) -> List[SensorEvent]:
-    """Parse an event-log CSV; raises ValueError naming the bad line."""
+    """Parse an event-log CSV; raises ValueError naming the bad line. Every
+    row's timestamp is parsed and checked, and each distinct text after it
+    is parsed once: the rows that repeat it share one payload object."""
     events: List[SensorEvent] = []
     header = stream.readline().rstrip("\n")
     if header != EVENT_LOG_HEADER:
         raise ValueError(f"line 1: expected header {EVENT_LOG_HEADER!r}")
+    tails: Dict[str, Tuple[str, Payload]] = {}    # text -> (source, payload)
     for lineno, line in enumerate(stream, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        ts_raw, source, kind, arg1, arg2 = parts
+        ts_raw, _, tail = line.partition(",")
+        parsed = tails.get(tail)
+        if parsed is None and tail.count(",") != 3:
+            raise ValueError(f"line {lineno}: expected 5 fields, "
+                             f"got {line.count(',') + 1}")
         try:
             ts = float(ts_raw)
         except ValueError:
             ts = math.nan
         if not math.isfinite(ts):
             raise ValueError(f"line {lineno}: bad timestamp {ts_raw!r}")
-        try:
-            if kind == _KIND_PIR:
-                payload: Payload = PirMotion()
-            elif kind == _KIND_US:
-                payload = UsPresence(distance=float(arg1))
-            elif kind == _KIND_BLE:
-                payload = BleAdvert(beacon_id=arg1, rssi=float(arg2))
-            elif kind == _KIND_MANUAL_OFF:
-                payload = ManualOff()
-            elif kind == _KIND_MANUAL_REARM:
-                payload = ManualRearm()
-            else:
-                raise ValueError(f"unknown kind {kind!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        events.append(SensorEvent(timestamp=ts, source=source, payload=payload))
+        if parsed is None:
+            if len(tails) == _TAILS_CACHED:
+                tails.clear()
+            parsed = tails[tail] = _parse_tail(lineno, tail)
+        events.append(SensorEvent(ts, *parsed))
     return events
+
+
+def _parse_tail(lineno: int, tail: str) -> Tuple[str, Payload]:
+    """The source and payload of a row's four fields after the timestamp."""
+    source, kind, arg1, arg2 = tail.split(",")
+    try:
+        if kind == _KIND_PIR:
+            payload: Payload = PirMotion()
+        elif kind == _KIND_US:
+            payload = UsPresence(distance=float(arg1))
+        elif kind == _KIND_BLE:
+            payload = BleAdvert(beacon_id=arg1, rssi=float(arg2))
+        elif kind == _KIND_MANUAL_OFF:
+            payload = ManualOff()
+        elif kind == _KIND_MANUAL_REARM:
+            payload = ManualRearm()
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return source, payload

@@ -30,8 +30,11 @@ leaves it, and ticks that emit nothing are crossed in one jump. The
 exposure pass jumps from tick 1 on while nobody moves and no lamp is forced
 on, up to the next command or waypoint, adding the dose of the skipped
 ticks at once, unless a ceiling lamp is lit with anyone inside or a desk
-lamp over someone in its zone. replay() jumps to the next control tick or
-event. The output is the same byte for byte as stepping every tick.
+lamp over someone in its zone. A tick that cannot step (``_Control.idle``)
+only feeds its events to fusion and the log: replay() feeds the events of
+such ticks in one loop, up to the next control tick or the first ingest
+that raises ``ingested``, whose tick steps. The output is the same byte
+for byte as stepping every tick.
 
 Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 """
@@ -595,10 +598,16 @@ class _Control:
             scenario.room, scenario.policy, start,
             assume_vacant_since=start if scenario.assume_vacant_at_start else None)
 
+    def idle(self, k: int) -> bool:
+        """Whether tick k cannot step: the ticks before ``next_k`` step only
+        after an ingest that raises ``fusion.ingested``. On such a tick
+        ``decide`` returns [] and touches nothing."""
+        return k < self.next_k and not self.fusion.ingested
+
     def decide(self, k: int, t: float) -> List[LampCommand]:
-        fusion = self.fusion
-        if k < self.next_k and not fusion.ingested:
+        if self.idle(k):
             return []
+        fusion = self.fusion
         if self.last is not None and self.stepped < k - 1:
             # a step on each skipped tick would have stamped the windows open
             # at the last one: none closes before next_k, so all were still
@@ -787,12 +796,13 @@ def simulate(scenario: Scenario) -> SimulationResult:
                 payloads = repeats[advert] = sensing.tick(t, occupants, advert)
                 quiet = repeats[False] == []
             for source, payload in payloads:
-                event = SensorEvent(timestamp=t, source=source, payload=payload)
+                event = SensorEvent(t, source, payload)
                 fusion.ingest(event)
                 events.append(event)
-            commands.extend(control.decide(k, t))
+            if not control.idle(k):
+                commands.extend(control.decide(k, t))
             k += 1
-            if quiet and k < until and k < control.next_k:
+            if quiet and k < until and control.idle(k):
                 # no event and no step before the next control tick or advert
                 k = min(control.next_k, until,
                         ticks.first_at(sensing.next_advert - 1e-9))
@@ -818,20 +828,28 @@ def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampComman
     events = sort_events(events)
     ticks = _TickGrid(scenario)
     control = _Control(scenario, ticks)
+    ingest = control.fusion.ingest
     commands: List[LampCommand] = []
+    n = len(events)
     i = 0
     k = 0
     while k < ticks.count:
+        # tick k steps, after its events
         t = ticks.time(k)
-        while i < len(events) and events[i].timestamp <= t:
-            control.fusion.ingest(events[i])
+        while i < n and events[i].timestamp <= t:
+            ingest(events[i])
             i += 1
         commands.extend(control.decide(k, t))
         k += 1
-        if k < control.next_k:
-            next_event = events[i].timestamp if i < len(events) else math.inf
-            if next_event > ticks.time(k):
-                k = min(control.next_k, ticks.first_at(next_event))
+        if control.idle(k):
+            # the events of the ticks before next_k, in one loop up to the
+            # first ingest that raises ingested: its tick steps next
+            last = ticks.time(control.next_k - 1)
+            while i < n and events[i].timestamp <= last and control.idle(k):
+                ingest(events[i])
+                i += 1
+            k = control.next_k if control.idle(k) else \
+                ticks.first_at(events[i - 1].timestamp)
     return commands
 
 

@@ -252,6 +252,7 @@ def test_a_zero_reaction_deadline_is_an_input_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == EXIT_INPUT_ERROR
     assert "tick must not exceed the reaction deadline" in \
         capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scenario_name_cannot_leave_the_output_directory(tmp_path, capsys):

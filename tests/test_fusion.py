@@ -19,6 +19,7 @@ from uvcguard.fusion import (
     SensorEvent,
     UsPresence,
     distance_to_rssi,
+    event_to_row,
     read_event_log,
     rssi_to_distance,
     sort_events,
@@ -341,6 +342,59 @@ def test_event_log_round_trip():
     assert read_event_log(io.StringIO(text)) == events
 
 
+def plain_event_log(events) -> str:
+    """The event log written one row at a time, with nothing cached."""
+    return "".join([EVENT_LOG_HEADER + "\n"] +
+                   [",".join(event_to_row(e)) + "\n" for e in events])
+
+
+def test_event_log_tails_follow_the_payload_object_not_its_value():
+    # equal payloads in distinct objects, of which a signed zero equals
+    # its positive twin yet writes differently
+    events = [ev(0.1 * i, source, payload) for i, (source, payload) in
+              enumerate([("us_desk_1", UsPresence(1.5)),
+                         ("us_desk_1", UsPresence(1.5)),
+                         ("us_desk_1", UsPresence(0.0)),
+                         ("us_desk_1", UsPresence(-0.0)),
+                         ("ble_door", BleAdvert("badge-7", 0.0)),
+                         ("ble_door", BleAdvert("badge-7", -0.0)),
+                         ("us_desk_2", UsPresence(0.0)),
+                         ("pir_1", PirMotion()),
+                         ("pir_2", PirMotion())])]
+    buf = io.StringIO()
+    write_event_log(events, buf)
+    assert buf.getvalue() == plain_event_log(events)
+    assert "0.1,us_desk_1,US,1.5," in buf.getvalue()
+    assert "us_desk_1,US,-0.0," in buf.getvalue()
+
+
+def test_event_log_from_a_generator_that_frees_each_payload():
+    # each payload is gone once its row is written, so the next one may
+    # take its id: a tail found by id alone would repeat a stale distance
+    def events():
+        for i in range(2000):
+            source = ("us_desk_1", "us_desk_2")[i % 2]
+            yield ev(0.1 * i, source, UsPresence(distance=float(i % 7)))
+
+    buf = io.StringIO()
+    write_event_log(events(), buf)
+    assert buf.getvalue() == plain_event_log(events())
+
+
+def test_read_event_log_shares_payloads_of_repeated_tails():
+    events = [ev(0.1 * i, "us_desk_1", UsPresence(1.25)) for i in range(3)]
+    read = read_event_log(io.StringIO(plain_event_log(events)))
+    assert read == events
+    assert read[0].payload is read[1].payload is read[2].payload
+
+
+def test_read_event_log_checks_the_timestamp_of_a_cached_tail():
+    rows = "".join(f"{0.1 * i!r},us_desk_1,US,1.25,\n" for i in range(5))
+    text = EVENT_LOG_HEADER + "\n" + rows + "0.6x,us_desk_1,US,1.25,\n"
+    with pytest.raises(ValueError, match="line 7: bad timestamp '0.6x'"):
+        read_event_log(io.StringIO(text))
+
+
 def test_read_event_log_names_the_bad_line():
     text = EVENT_LOG_HEADER + "\n0.1,pir_1,PIR,,\nnot-a-time,pir_1,PIR,,\n"
     with pytest.raises(ValueError, match="line 3"):
@@ -349,6 +403,11 @@ def test_read_event_log_names_the_bad_line():
         read_event_log(io.StringIO("bogus\n"))
     with pytest.raises(ValueError, match="line 2"):
         read_event_log(io.StringIO(EVENT_LOG_HEADER + "\n0.1,pir_1,LIDAR,,\n"))
+    for row, fields in (("0.2", 1), ("0.2,pir_1,PIR,", 4), ("0.2,pir_1,PIR,,,", 6)):
+        with pytest.raises(ValueError,
+                           match=f"line 3: expected 5 fields, got {fields}$"):
+            read_event_log(io.StringIO(
+                EVENT_LOG_HEADER + "\n0.1,pir_1,PIR,,\n" + row + "\n"))
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
