@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -313,8 +314,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fuzz_one(seed: int) -> Dict[str, object]:
-    result = simulate(random_walk_scenario(seed))
+def _fuzz_one(seed: int, room: RoomModel,
+              overrides: argparse.Namespace) -> Dict[str, object]:
+    result = simulate(_apply_overrides(random_walk_scenario(seed, room),
+                                       overrides))
     return {"seed": seed,
             "violations": result.safety.violation_count,
             "max_dose": max(result.safety.total_occupant_dose.values(),
@@ -323,6 +326,15 @@ def _fuzz_one(seed: int) -> Dict[str, object]:
 
 def cmd_reference_suite(args: argparse.Namespace) -> int:
     _check_dose_flags(args)
+    room = _load_room_arg(args.room)
+    scenarios = {name: _apply_overrides(scenario, args) for name, scenario in
+                 {**reference_scenarios(room),
+                  "midnight": midnight_scenario(room)}.items()}
+    # every input is checked before anything is written
+    for name, scenario in scenarios.items():
+        problems = validate_scenario(scenario)
+        if problems:
+            raise ScenarioError([f"scenario {name}: {p}" for p in problems])
     root = _out_root(args.out)
     root.mkdir(parents=True, exist_ok=True)
     suite_manifest = {
@@ -337,7 +349,6 @@ def cmd_reference_suite(args: argparse.Namespace) -> int:
     _write_manifest(root / "manifest.json", suite_manifest)
     failures: List[str] = []
 
-    room = _load_room_arg(args.room)
     lamps = [l for l in room.lamps if l.emits_downward]
     grid = DoseGrid.for_room(room)
     report = coverage_report(grid, lamps, args.cycle)
@@ -351,10 +362,7 @@ def cmd_reference_suite(args: argparse.Namespace) -> int:
     if not map_ok:
         failures.append("dose map leaves cells uncovered")
 
-    scenarios = dict(reference_scenarios(room))
-    scenarios["midnight"] = midnight_scenario(room)
     for name, scenario in scenarios.items():
-        scenario = _apply_overrides(scenario, args)
         result = _run_and_write(scenario, root / name, "reference-suite")
         status = result.safety.verdict
         print(f"scenario {name}: {len(result.timeline.commands)} commands, "
@@ -365,12 +373,16 @@ def cmd_reference_suite(args: argparse.Namespace) -> int:
     fuzz_rows = []
     if args.fuzz > 0:
         seeds = list(range(args.fuzz_base, args.fuzz_base + args.fuzz))
+        # a walk keeps its own seed and takes the suite's room and policy
+        overrides = argparse.Namespace(reaction_deadline=args.reaction_deadline,
+                                       tz_offset=args.tz_offset)
+        fuzz_one = functools.partial(_fuzz_one, room=room, overrides=overrides)
         if args.jobs > 1:
             import multiprocessing
             with multiprocessing.Pool(args.jobs) as pool:
-                fuzz_rows = pool.map(_fuzz_one, seeds)
+                fuzz_rows = pool.map(fuzz_one, seeds)
         else:
-            fuzz_rows = [_fuzz_one(seed) for seed in seeds]
+            fuzz_rows = [fuzz_one(seed) for seed in seeds]
         bad = [row for row in fuzz_rows if row["violations"] or row["max_dose"]]
         print(f"fuzz: {len(fuzz_rows)} randomized walks, "
               f"{len(bad)} with violations or exposure: "

@@ -18,11 +18,11 @@ Priorities, highest first:
 6. At local midnight, if vacant, one full cycle runs and the controller
    disarms; only renewed occupancy rearms it, which keeps empty days dark.
 
-The controller has no loop of its own. ``uvcguard.simulator`` steps it from
-a single control step shared by ``simulate`` and ``replay``, so replaying a
+The controller has no loop of its own. ``uvcguard.simulator`` steps it in
+one decide pass, which ``simulate`` and ``replay`` share, so replaying a
 run's event log reproduces its command log by construction. A step on an
 unchanged snapshot does nothing until ``next_due_at`` but renew the recency
-stamps of open motion and zone windows: the control step skips the ticks
+stamps of open motion and zone windows: the decide pass skips the ticks
 before it and before the next change of the snapshot, and restamps those
 windows with the last skipped tick before it steps again.
 """

@@ -1,19 +1,21 @@
 """Deterministic fixed-step simulation of occupants, sensors, and lamps.
 
-A run makes two passes over the tick grid. The control pass interpolates
-occupant positions, evaluates the physical sensor models, feeds events
-through fusion and steps the controller: it writes the event and command
-logs. The exposure pass turns the command log and any ``unsafe_force_on``
-windows into the lamps lit over each tick, the probe irradiance, the lamp
-on-intervals (and from them the floor dose grid) and the occupant exposure
-audit. All randomness comes from one seeded generator drawn in a fixed
-order, so a scenario run twice with the same seed produces identical
-output byte for byte. simulate() runs both passes, replay() the control
-step alone on recorded events, and safety_check() the exposure pass alone
-on recorded commands: the audit follows from the commands alone.
+A run is three passes over the tick grid: sense, decide, expose. The
+sensing pass interpolates occupant positions and evaluates the physical
+sensor models: it writes the event log, handing on each event as it is
+made. The decide pass feeds the events through fusion and steps the
+controller: it writes the command log. The exposure pass turns the command
+log and any ``unsafe_force_on`` windows into the lamps lit over each tick,
+the probe irradiance, the lamp on-intervals (and from them the floor dose
+grid) and the occupant exposure audit. All randomness comes from one
+seeded generator drawn in a fixed order, so a scenario run twice with the
+same seed produces identical output byte for byte. simulate() runs all
+three; replay() is the decide pass alone on recorded events, and
+safety_check() the exposure pass alone on recorded commands: the commands
+follow from the sensor events alone, and the audit from the commands.
 
 Time advances to the next event where nothing can happen in between. The
-control step snapshots fusion and steps the controller only at tick 0,
+decide pass snapshots fusion and steps the controller only at tick 0,
 after an ingest that opens a hold window or presses the manual switch, and
 at the first tick at or after the next hold-window expiry or controller
 rule due (``next_change_at``, ``next_due_at``); on every other tick a step
@@ -30,11 +32,8 @@ leaves it, and ticks that emit nothing are crossed in one jump. The
 exposure pass jumps from tick 1 on while nobody moves and no lamp is forced
 on, up to the next command or waypoint, adding the dose of the skipped
 ticks at once, unless a ceiling lamp is lit with anyone inside or a desk
-lamp over someone in its zone. A tick that cannot step (``_Control.idle``)
-only feeds its events to fusion and the log: replay() feeds the events of
-such ticks in one loop, up to the next control tick or the first ingest
-that raises ``ingested``, whose tick steps. The output is the same byte
-for byte as stepping every tick.
+lamp over someone in its zone. The output is the same byte for byte as
+stepping every tick.
 
 Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 """
@@ -45,8 +44,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from .controller import (ControllerState, CyclePolicy, LampAction,
                          LampCommand, LampRoster, next_due_at, stamp_recency,
@@ -761,31 +760,18 @@ class _Sensing:
         return max(stop - 1, k + 1)
 
 
-def simulate(scenario: Scenario) -> SimulationResult:
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ScenarioError(problems)
-
-    room = scenario.room
+def _sense(scenario: Scenario, log: List[SensorEvent]) -> Iterator[SensorEvent]:
+    """The sensing pass: each event appended to ``log`` and yielded as it is
+    made. It reads no controller state, and simulate() pulls it to the end."""
     ticks = _TickGrid(scenario)
-    control = _Control(scenario, ticks)
     occupants = _Occupants(scenario, ticks)
     sensing = _Sensing(scenario, ticks)
-    fusion = control.fusion
-
-    timeline = Timeline(scenario_name=scenario.name, start_time=ticks.start,
-                        end_time=ticks.time(ticks.count), tick=ticks.tick,
-                        probe_names=tuple(name for name, _ in _probe_points(room)))
-    events, commands = timeline.events, timeline.commands
-
     k = 0
     while k < ticks.count:
-        # tick k runs the sensor models. The ticks after it in a still span
-        # repeat the payloads that the models made on its first tick without
-        # an advert (repeats[False]) or with one (repeats[True]), up to the
-        # span's last tick: that one starts the next round and runs the
-        # models again, so that the latches of sensors that keep firing end
-        # where stepping every tick leaves them
+        # tick k runs the sensor models, and the later ticks of a still span
+        # repeat their payloads without an advert (repeats[False]) or with
+        # one (repeats[True]). The span's last tick runs them again, so that
+        # firing latches end where stepping every tick leaves them
         until = sensing.still_until(k, occupants)
         repeats: List[Optional[List[Tuple[str, Payload]]]] = [None, None]
         while k < until:
@@ -797,17 +783,53 @@ def simulate(scenario: Scenario) -> SimulationResult:
                 quiet = repeats[False] == []
             for source, payload in payloads:
                 event = SensorEvent(t, source, payload)
-                fusion.ingest(event)
-                events.append(event)
-            if not control.idle(k):
-                commands.extend(control.decide(k, t))
+                log.append(event)
+                yield event
             k += 1
-            if quiet and k < until and control.idle(k):
-                # no event and no step before the next control tick or advert
-                k = min(control.next_k, until,
-                        ticks.first_at(sensing.next_advert - 1e-9))
+            if quiet and k < until:
+                # no event before the span's last tick or the next advert
+                k = min(until, ticks.first_at(sensing.next_advert - 1e-9))
         occupants.move_to(k)
 
+
+def _decide(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampCommand]:
+    """The decide pass over time-ordered events. Tick k steps once the events
+    up to its time are in; the ticks after it before ``next_k`` only feed
+    fusion, up to the first ingest that raises ``ingested``."""
+    ticks = _TickGrid(scenario)
+    control = _Control(scenario, ticks)
+    fusion = control.fusion
+    ingest = fusion.ingest
+    commands: List[LampCommand] = []
+    k, t = 0, ticks.time(0)         # the next tick to step, and its time
+    for event in events:
+        while event.timestamp > t and k < ticks.count:
+            commands.extend(control.decide(k, t))
+            k = max(k + 1, control.next_k)
+            t = ticks.time(k)
+        ingest(event)
+        if fusion.ingested:
+            # the ingest that raised it makes its own tick the next to step
+            k = ticks.first_at(event.timestamp)
+            t = ticks.time(k)
+    while k < ticks.count:
+        commands.extend(control.decide(k, t))
+        k = max(k + 1, control.next_k)
+        t = ticks.time(k)
+    return commands
+
+
+def simulate(scenario: Scenario) -> SimulationResult:
+    problems = validate_scenario(scenario)
+    if problems:
+        raise ScenarioError(problems)
+
+    room = scenario.room
+    ticks = _TickGrid(scenario)
+    timeline = Timeline(scenario_name=scenario.name, start_time=ticks.start,
+                        end_time=ticks.time(ticks.count), tick=ticks.tick,
+                        probe_names=tuple(name for name, _ in _probe_points(room)))
+    timeline.commands = _decide(scenario, _sense(scenario, timeline.events))
     timeline.probe_samples, spans, safety = _expose(scenario, timeline.commands)
     timeline.lamp_intervals = {
         lamp_id: [(ticks.time(a), ticks.time(b)) for a, b in pairs]
@@ -822,35 +844,10 @@ def simulate(scenario: Scenario) -> SimulationResult:
 
 
 def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampCommand]:
-    """Lamp commands re-derived from a run's sensor events alone: sorted,
-    then fed to fusion on the tick grid as simulate feeds them, so a run's
-    own event log reproduces its command log exactly."""
-    events = sort_events(events)
-    ticks = _TickGrid(scenario)
-    control = _Control(scenario, ticks)
-    ingest = control.fusion.ingest
-    commands: List[LampCommand] = []
-    n = len(events)
-    i = 0
-    k = 0
-    while k < ticks.count:
-        # tick k steps, after its events
-        t = ticks.time(k)
-        while i < n and events[i].timestamp <= t:
-            ingest(events[i])
-            i += 1
-        commands.extend(control.decide(k, t))
-        k += 1
-        if control.idle(k):
-            # the events of the ticks before next_k, in one loop up to the
-            # first ingest that raises ingested: its tick steps next
-            last = ticks.time(control.next_k - 1)
-            while i < n and events[i].timestamp <= last and control.idle(k):
-                ingest(events[i])
-                i += 1
-            k = control.next_k if control.idle(k) else \
-                ticks.first_at(events[i - 1].timestamp)
-    return commands
+    """Lamp commands re-derived from a run's sensor events alone: simulate()'s
+    own decide pass over the events in time order, so a run's own event log
+    reproduces its command log exactly."""
+    return _decide(scenario, sort_events(events))
 
 
 # ---------------------------------------------------------------------------

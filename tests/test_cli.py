@@ -1,15 +1,17 @@
 """Command line interface: exit codes, artifacts, manifests, determinism."""
 
+import dataclasses
 import json
 import types
 
 import pytest
 
+import uvcguard.cli as cli
 from uvcguard.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_SAFETY_FAIL, main
 from uvcguard.dosimetry import DOSE_MAP_HEADER
-from uvcguard.room import default_room, serialize_room
-from uvcguard.scenarios import (scenario_a, scenario_d, scenario_to_dict,
-                                serialize_scenario)
+from uvcguard.room import default_room, load_room, serialize_room
+from uvcguard.scenarios import (random_walk_scenario, scenario_a, scenario_d,
+                                scenario_to_dict, serialize_scenario)
 
 ARTIFACTS = ("commands.csv", "dose_grid.csv", "events.csv", "probes.csv",
              "safety.json", "scenario.json")
@@ -352,6 +354,46 @@ def test_reference_suite_passes_end_to_end(tmp_path, capsys):
     summary = json.loads((tmp_path / "fuzz_summary.json").read_text())
     assert summary["runs"] == 2
     assert summary["failing_seeds"] == []
+
+
+@pytest.mark.parametrize("flags", [["--reaction-deadline", "0"],
+                                   ["--room", "missing.json"]])
+def test_reference_suite_checks_its_inputs_before_writing(flags, tmp_path,
+                                                          capsys):
+    # each exited 1 and left manifest.json reading "running", the first
+    # also dose_map.csv
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    out = tmp_path / "RS"
+    assert main(["reference-suite", *flags, "--fuzz", "0",
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_reference_suite_fuzz_walks_take_its_room_and_overrides(
+        tmp_path, monkeypatch, capsys):
+    # the walks ran on the default room and policy whatever the flags said.
+    # Any deadline but the default 1 s fails the policy's bound (at most
+    # 1 s) or the midnight scenario's 1 s tick, so the offset stands in
+    doc = json.loads(serialize_room(default_room()))
+    for lamp in doc["lamps"]:
+        if lamp["id"] == "upper_room":
+            lamp["electrical_power"] = 30.0
+    room_path = tmp_path / "room.json"
+    room_path.write_text(json.dumps(doc))
+    room = load_room(room_path.read_text())
+    assert room != default_room()
+    seen = []
+    simulate = cli.simulate
+    monkeypatch.setattr(cli, "simulate", lambda scenario: (
+        seen.append(scenario), simulate(scenario))[1])
+    assert main(["reference-suite", "--room", str(room_path), "--fuzz", "1",
+                 "--tz-offset", "3600", "--out", str(tmp_path / "RS")]) == EXIT_OK
+    walk = random_walk_scenario(0, room)
+    assert seen[-1] == dataclasses.replace(walk, policy=dataclasses.replace(
+        walk.policy, tz_offset=3600.0))
+    assert "fuzz: 1 randomized walks, 0 with violations" in \
+        capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

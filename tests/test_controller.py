@@ -466,6 +466,7 @@ def test_skipping_control_matches_a_twin_that_steps_every_tick(
         k += repeats
     events = sort_events(events)
     skipper, twin = _Control(scenario, ticks), _Control(scenario, ticks)
+    every_tick = []
     i = 0
     for k in range(ticks.count):
         t = ticks.time(k)
@@ -474,9 +475,14 @@ def test_skipping_control_matches_a_twin_that_steps_every_tick(
             twin.fusion.ingest(events[i])
             i += 1
         twin.next_k = k           # the twin steps on every tick
-        assert skipper.decide(k, t) == twin.decide(k, t)
+        commands = twin.decide(k, t)
+        assert skipper.decide(k, t) == commands
+        every_tick.extend(commands)
         if skipper.stepped == k:
             assert skipper.state == twin.state
+    # the one control loop, which feeds the events of idle ticks in one
+    # go, on unsorted input with timestamps off the tick grid
+    assert replay(scenario, events[::-1]) == every_tick
 
 
 # ---------------------------------------------------------------------------

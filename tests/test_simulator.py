@@ -614,7 +614,7 @@ NEXT_EVENT_RUNS = {
     "unseen_desk_sitter": lambda: unseen(seated(x=2.75, y=5.0),
                                          tiers=(LampTier.DESK,)),
     # with no fusion hold, a seated worker's ultrasonic events keep no
-    # window open: only someone being inside stops the control pass's jump
+    # window open: only someone being inside stops the sensing pass's jump
     "zero_hold_B": lambda: dataclasses.replace(
         reference_scenarios()["B"], duration=300.0,
         fusion=FusionParams(pir_hold=0.0, us_hold=0.0)),
