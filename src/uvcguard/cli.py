@@ -291,7 +291,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     try:
         with open(args.events) as f:
-            events = read_event_log(f)
+            events = read_event_log(f, grid=(scenario.start_time, scenario.tick))
     except OSError as exc:
         raise InputError(f"cannot read event log {args.events!r}: {exc}") from None
     except ValueError as exc:
@@ -374,8 +374,7 @@ def cmd_reference_suite(args: argparse.Namespace) -> int:
     if args.fuzz > 0:
         seeds = list(range(args.fuzz_base, args.fuzz_base + args.fuzz))
         # a walk keeps its own seed and takes the suite's room and policy
-        overrides = argparse.Namespace(reaction_deadline=args.reaction_deadline,
-                                       tz_offset=args.tz_offset)
+        overrides = argparse.Namespace(tz_offset=args.tz_offset)
         fuzz_one = functools.partial(_fuzz_one, room=room, overrides=overrides)
         if args.jobs > 1:
             import multiprocessing
@@ -465,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for the randomized walks")
     p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--reaction-deadline", type=float,
-                   help="override the interlock reaction deadline (s)")
     p.add_argument("--tz-offset", type=float,
                    help="override the local-midnight offset (s)")
     p.set_defaults(func=cmd_reference_suite)

@@ -6,6 +6,24 @@ corresponding condition stays asserted; detections can only extend
 windows, never shorten them, so adding events never flips an occupied
 snapshot to vacant. Payloads the fuser does not recognize are treated as
 detections and logged as anomalies.
+
+Events travel as runs. A run is rows of one payload from one source at a
+fixed period on a tick grid whose tick k starts at ``start + k * tick``:
+a first tick, a period in ticks, a row count, a source and a payload.
+``EventRuns`` holds a log's rows in row order, one run after another, and
+reads as a sequence of ``SensorEvent`` rows; a lone row, on the grid or off
+it, stays a ``SensorEvent``. ``read_event_log`` joins rows on the grid into
+runs, and ``write_event_log`` formats a run's rows from its ticks.
+
+``OccupancyFusion.ingest_runs`` takes the rows of runs as ``ingest`` would
+take each, merged in time order. When each row of a run falls before the
+previous row's timestamp plus its hold, the comparison ``_open`` makes, only
+its first row can open a window, and the run costs one update: ``ingested``
+rises if the first row opens a window, and the window then ends at the last
+row plus the hold. Otherwise the rows go in one at a time: with a zero hold
+or a hold no longer than the period, for anomalies (an ultrasonic return
+from a sensor with no aimed zone, an RSSI outside its band), each of which
+is logged, and for the manual switch.
 """
 
 from __future__ import annotations
@@ -13,8 +31,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter, itemgetter
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .room import (RoomModel, SensorKind, SensorSpec, angle_between_deg, Point3,
                    require_finite)
@@ -72,6 +91,183 @@ class SensorEvent:
 def sort_events(events: Sequence[SensorEvent]) -> List[SensorEvent]:
     """Total order: by timestamp, ties broken by source id."""
     return sorted(events, key=attrgetter("timestamp", "source"))
+
+
+# ---------------------------------------------------------------------------
+# runs
+# ---------------------------------------------------------------------------
+
+class TickTimes:
+    """The timestamps ``start + k * tick`` of the ticks k in ``ks``."""
+
+    __slots__ = ("start", "tick", "ks")
+
+    def __init__(self, start: float, tick: float, ks: range):
+        self.start = start
+        self.tick = tick
+        self.ks = ks
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __getitem__(self, i: int) -> float:
+        return self.start + self.ks[i] * self.tick
+
+    def __iter__(self) -> Iterator[float]:
+        start, tick = self.start, self.tick
+        for k in self.ks:
+            yield start + k * tick
+
+
+def grid_tick(start: float, tick: float, ts: float) -> Optional[int]:
+    """The tick k whose start ``start + k * tick`` is ``ts``, if one is."""
+    x = (ts - start) / tick
+    if not -2.0 ** 53 < x < 2.0 ** 53:
+        return None
+    k = round(x)
+    return k if start + k * tick == ts else None
+
+
+def each_within(times: Sequence[float], hold: float) -> bool:
+    """Whether each of ``times`` falls before the one before it plus
+    ``hold``: the comparison ``_open`` makes, so that only the first row of
+    a run can open a window."""
+    if hold == math.inf:
+        return True
+    if isinstance(times, TickTimes):
+        ks = times.ks
+        # each tick time, each sum and the gap below carry under an ulp of
+        # error at the largest magnitude m: a gap 8 ulps short of the hold
+        # passes the comparison on every row
+        m = abs(times.start) + max(abs(ks[0]), abs(ks[-1])) * times.tick + hold
+        if ks.step * times.tick + 8.0 * math.ulp(m) < hold:
+            return True
+    it = iter(times)
+    prev = next(it)
+    for ts in it:
+        if not ts < prev + hold:
+            return False
+        prev = ts
+    return True
+
+
+def _same_payload(a: Payload, b: Payload) -> bool:
+    """Whether two payloads are equal and write the same row text: equal
+    floats write alike, but for zeros of opposite sign."""
+    if a is b:
+        return True
+    if a.__class__ is not b.__class__ or a != b:
+        return False
+    return all(math.copysign(1.0, x) == math.copysign(1.0, y)
+               for x, y in zip(vars(a).values(), vars(b).values())
+               if isinstance(x, float))
+
+
+class EventRuns:
+    """Sensor events held as runs, in row order. A run
+    ``[first, period, count, source, payload]`` is ``count`` rows of one
+    payload from one source at ticks first, first + period, ... of the grid
+    whose tick k starts at ``start + k * tick``. A lone row, on the grid or
+    off it, is held as its ``SensorEvent``. It reads as a sequence of
+    ``SensorEvent`` rows: ``len`` counts rows, iteration builds them, and
+    indexing builds them all."""
+
+    __slots__ = ("start", "tick", "entries", "_end")
+
+    def __init__(self, start: float, tick: float):
+        self.start = start
+        self.tick = tick
+        self.entries: List[Union[list, SensorEvent]] = []
+        self._end: Optional[int] = None    # tick of the last row, on the grid
+
+    @classmethod
+    def of(cls, events: Iterable[SensorEvent], start: float,
+           tick: float) -> "EventRuns":
+        """``events`` in the order given, as runs where they sit on the grid."""
+        runs = cls(start, tick)
+        for event in events:
+            k = grid_tick(start, tick, event.timestamp)
+            if k is None:
+                runs.extend((event,))
+            else:
+                runs.add(k, 1, 1, event.source, event.payload)
+        return runs
+
+    def add(self, k: int, period: int, count: int, source: str,
+            payload: Payload) -> None:
+        """Append ``count`` rows of ``payload`` from ``source`` at ticks k,
+        k + period, ...: the run builder. The rows continue the last run
+        when they repeat its source and payload at its period."""
+        end = self._end
+        self._end = k + (count - 1) * period
+        entries = self.entries
+        if end is not None and entries:
+            last = entries[-1]
+            if last.__class__ is SensorEvent:
+                gap = k - end
+                if gap > 0 and (count == 1 or period == gap) and \
+                        last.source == source and \
+                        _same_payload(last.payload, payload):
+                    entries[-1] = [end, gap, count + 1, source, last.payload]
+                    return
+            elif k == end + last[1] and (count == 1 or period == last[1]) and \
+                    last[3] == source and _same_payload(last[4], payload):
+                last[2] += count
+                return
+        if count == 1:
+            entries.append(SensorEvent(self.start + k * self.tick, source, payload))
+        else:
+            entries.append([k, period, count, source, payload])
+
+    def extend(self, events: Sequence[SensorEvent]) -> None:
+        """Append rows that no run continues, each alone."""
+        self.entries.extend(events)
+        self._end = None
+
+    def in_order(self) -> bool:
+        """Whether the rows are in ``sort_events`` order."""
+        start, tick = self.start, self.tick
+        prev = (-math.inf, "")
+        for entry in self.entries:
+            if entry.__class__ is SensorEvent:
+                first = last = (entry.timestamp, entry.source)
+            else:
+                k, period, count, source, _ = entry
+                first = (start + k * tick, source)
+                last = (start + (k + (count - 1) * period) * tick, source)
+            if first < prev:
+                return False
+            prev = last
+        return True
+
+    def __len__(self) -> int:
+        return sum(1 if entry.__class__ is SensorEvent else entry[2]
+                   for entry in self.entries)
+
+    def __iter__(self) -> Iterator[SensorEvent]:
+        start, tick = self.start, self.tick
+        for entry in self.entries:
+            if entry.__class__ is SensorEvent:
+                yield entry
+            else:
+                k, period, count, source, payload = entry
+                for j in range(k, k + count * period, period):
+                    yield SensorEvent(start + j * tick, source, payload)
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EventRuns, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    __hash__ = None     # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"EventRuns({len(self)} rows in {len(self.entries)} runs, "
+                f"start={self.start!r}, tick={self.tick!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +342,8 @@ class OccupancyFusion:
     approach window closed at its timestamp, or a manual kill or rearm.
     An event that extends an open window leaves it down: its caller steps
     at the window's old end anyway, which ``next_change_at`` gave it.
+    ``ingest_runs`` leaves the state that ``ingest`` on each of the rows
+    leaves, with ``ingested`` and the anomaly log.
     """
 
     def __init__(self, room: RoomModel, params: Optional[FusionParams] = None):
@@ -170,70 +368,138 @@ class OccupancyFusion:
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, event: SensorEvent) -> None:
-        if event.timestamp < self._latest_ts:
-            raise EventOrderError(
-                f"event from {event.source!r} at t={event.timestamp} arrived "
-                f"after t={self._latest_ts}")
-        self._latest_ts = event.timestamp
         ts = event.timestamp
-        p = event.payload
-        params = self.params
-        if isinstance(p, PirMotion):
-            self._motion_until = self._open(self._motion_until, ts,
-                                            ts + params.pir_hold)
-            self._last_motion_time = ts
-            self._mark(event.source, ts + params.pir_hold)
-        elif isinstance(p, UsPresence):
-            sensor = self._sensors.get(event.source)
-            max_range = sensor.max_range if sensor is not None else math.inf
-            if p.distance > max_range:
-                return  # out-of-range return: no occupancy change
-            zone = self._us_zone.get(event.source)
-            if zone is None:
-                self._anomaly(event, "ultrasonic return without an aimed zone")
-                return
-            until = ts + params.us_hold
-            self._zone_until[zone] = self._open(self._zone_until[zone], ts, until)
-            self._mark(event.source, until)
-        elif isinstance(p, BleAdvert):
-            if not RSSI_FLOOR <= p.rssi <= RSSI_CEILING:
-                self._anomaly(event, f"rssi {p.rssi} outside [{RSSI_FLOOR}, {RSSI_CEILING}]")
-                return
-            if rssi_to_distance(p.rssi, params) < params.approach_radius:
-                until = ts + params.ble_stale_after
-                self._approach_until = self._open(self._approach_until, ts, until)
-                self._mark(event.source, until)
-        elif isinstance(p, ManualOff):
-            self._manual_kill = True
-            self._manual_source = event.source
-            self.ingested = True
-        elif isinstance(p, ManualRearm):
-            self._manual_kill = False
-            self.ingested = True
-        else:
-            self._anomaly(event, f"unrecognized payload {type(p).__name__}")
+        self._check_order(ts, event.source)
+        self._latest_ts = ts
+        source, payload = event.source, event.payload
+        self._apply(ts, ts, source, payload, self._hold(source, payload))
 
-    def _open(self, until: float, ts: float, new_until: float) -> float:
-        """The hold window ``until`` extended to ``new_until`` by an event at
-        ``ts``; raises ``ingested`` if the window was closed at ``ts`` and
-        opens."""
-        if until <= ts < new_until:
+    def ingest_runs(self, runs: Sequence[Tuple[Sequence[float], str, Payload]]
+                    ) -> None:
+        """Ingest the rows of ``runs``, each (times, source, payload), merged
+        in time order with ties in the order given, as ``ingest`` would
+        ingest each row. Each run costs one update when its rows are
+        ``each_within`` its ``hold`` and, if several runs are given, its first
+        row finds its window open, so that no row of any run opens one;
+        otherwise the rows go in one at a time."""
+        if not runs:
+            return
+        for times, source, _ in runs:
+            self._check_order(times[0], source)
+        holds = [self._hold(source, payload) for _, source, payload in runs]
+        if all(hold is not None and each_within(times, hold) and (
+                len(runs) == 1 or hold == math.inf or
+                times[0] < self._window_end(source, payload))
+               for (times, source, payload), hold in zip(runs, holds)):
+            for (times, source, payload), hold in zip(runs, holds):
+                self._apply(times[0], times[-1], source, payload, hold)
+            self._latest_ts = max(times[-1] for times, _, _ in runs)
+            return
+        for ts, source, payload in sorted(
+                ((ts, source, payload) for times, source, payload in runs
+                 for ts in times), key=itemgetter(0)):
+            self.ingest(SensorEvent(ts, source, payload))
+
+    def _check_order(self, ts: float, source: str) -> None:
+        if ts < self._latest_ts:
+            raise EventOrderError(
+                f"event from {source!r} at t={ts} arrived "
+                f"after t={self._latest_ts}")
+
+    def hold(self, source: str, payload: Payload) -> Optional[float]:
+        """How long a row of ``payload`` from ``source`` holds its window
+        open, math.inf for a row that opens none; None for a row that goes
+        in alone: an anomaly, which is logged, or a manual switch press. Of
+        a run whose rows are ``each_within`` it, only the first row can
+        open a window."""
+        return self._hold(source, payload)
+
+    def _hold(self, source: str, payload: Payload) -> Optional[float]:
+        params = self.params
+        if isinstance(payload, PirMotion):
+            return params.pir_hold
+        if isinstance(payload, UsPresence):
+            sensor = self._sensors.get(source)
+            if sensor is not None and payload.distance > sensor.max_range:
+                return math.inf   # out-of-range return: no occupancy change
+            return None if self._us_zone.get(source) is None else params.us_hold
+        if isinstance(payload, BleAdvert):
+            if not RSSI_FLOOR <= payload.rssi <= RSSI_CEILING:
+                return None
+            if rssi_to_distance(payload.rssi, params) < params.approach_radius:
+                return params.ble_stale_after
+            return math.inf
+        return None
+
+    def _window_end(self, source: str, payload: Payload) -> float:
+        """The end of the window that a row with a finite hold holds open."""
+        if isinstance(payload, PirMotion):
+            return self._motion_until
+        if isinstance(payload, UsPresence):
+            return self._zone_until[self._us_zone[source]]
+        return self._approach_until
+
+    def _apply(self, first: float, last: float, source: str, payload: Payload,
+               hold: Optional[float]) -> None:
+        """The windows after the rows of ``payload`` from ``source`` from
+        ``first`` to ``last``, each before the previous one's timestamp plus
+        ``hold``, its ``hold``: the first row may open a window, and the
+        window ends at the last row plus the hold. A row whose hold is None
+        comes alone."""
+        if hold is None:
+            if isinstance(payload, ManualOff):
+                self._manual_kill = True
+                self._manual_source = source
+                self.ingested = True
+            elif isinstance(payload, ManualRearm):
+                self._manual_kill = False
+                self.ingested = True
+            elif isinstance(payload, UsPresence):
+                self._anomaly(first, source, "ultrasonic return without an aimed zone")
+            elif isinstance(payload, BleAdvert):
+                self._anomaly(first, source, f"rssi {payload.rssi} outside "
+                                             f"[{RSSI_FLOOR}, {RSSI_CEILING}]")
+            else:
+                self._anomaly(first, source,
+                              f"unrecognized payload {type(payload).__name__}")
+            return
+        if hold == math.inf:
+            return
+        if isinstance(payload, PirMotion):
+            self._motion_until = self._open(self._motion_until, first, last, hold)
+            if self._last_motion_time is None or last > self._last_motion_time:
+                self._last_motion_time = last
+        elif isinstance(payload, UsPresence):
+            zone = self._us_zone[source]
+            self._zone_until[zone] = self._open(self._zone_until[zone], first,
+                                                last, hold)
+        else:
+            self._approach_until = self._open(self._approach_until, first,
+                                              last, hold)
+        self._mark(source, last + hold)
+
+    def _open(self, until: float, first: float, last: float,
+              hold: float) -> float:
+        """The hold window ``until`` extended by rows from ``first`` to
+        ``last``; raises ``ingested`` if the window was closed at ``first``
+        and opens."""
+        if until <= first < first + hold:
             self.ingested = True
-        return max(until, new_until)
+        return max(until, last + hold)
 
     def _mark(self, source: str, until: float) -> None:
         prev = self._source_until.get(source, -math.inf)
         if until > prev:
             self._source_until[source] = until
 
-    def _anomaly(self, event: SensorEvent, why: str) -> None:
+    def _anomaly(self, ts: float, source: str, why: str) -> None:
         # fail safe: anything we cannot interpret counts as a detection
-        self.anomalies.append((event.timestamp, event.source, why))
+        self.anomalies.append((ts, source, why))
         logger.warning("anomalous sensor event from %r at t=%s: %s",
-                       event.source, event.timestamp, why)
-        self._misc_until = self._open(self._misc_until, event.timestamp,
-                                      event.timestamp + self.params.pir_hold)
-        self._mark(event.source, event.timestamp + self.params.pir_hold)
+                       source, ts, why)
+        hold = self.params.pir_hold
+        self._misc_until = self._open(self._misc_until, ts, ts, hold)
+        self._mark(source, ts + hold)
 
     # -- reading -----------------------------------------------------------
 
@@ -305,50 +571,77 @@ _TAILS_CACHED = 256
 
 
 def event_to_row(event: SensorEvent) -> Tuple[str, str, str, str, str]:
-    p = event.payload
-    ts = repr(event.timestamp)
+    return (repr(event.timestamp),) + _row_tail(event.source, event.payload)
+
+
+def _row_tail(source: str, p: Payload) -> Tuple[str, str, str, str]:
     if isinstance(p, PirMotion):
-        return ts, event.source, _KIND_PIR, "", ""
+        return source, _KIND_PIR, "", ""
     if isinstance(p, UsPresence):
-        return ts, event.source, _KIND_US, repr(p.distance), ""
+        return source, _KIND_US, repr(p.distance), ""
     if isinstance(p, BleAdvert):
-        return ts, event.source, _KIND_BLE, p.beacon_id, repr(p.rssi)
+        return source, _KIND_BLE, p.beacon_id, repr(p.rssi)
     if isinstance(p, ManualOff):
-        return ts, event.source, _KIND_MANUAL_OFF, "", ""
+        return source, _KIND_MANUAL_OFF, "", ""
     if isinstance(p, ManualRearm):
-        return ts, event.source, _KIND_MANUAL_REARM, "", ""
+        return source, _KIND_MANUAL_REARM, "", ""
     raise ValueError(f"cannot serialize payload {type(p).__name__}")
 
 
 def write_event_log(events: Iterable[SensorEvent], stream) -> None:
-    """Write events as CSV rows in the order given, one at a time. A row is
-    the event's ``repr`` timestamp and the tail that ``event_to_row`` gives
-    its source and payload. Rows whose source and payload object repeat, as
-    those of a still span do, share one formatted tail."""
+    """Write events as CSV rows in the order given. A row is the event's
+    ``repr`` timestamp and the tail that ``event_to_row`` gives its source
+    and payload. Rows whose source and payload object repeat, as those of a
+    run do, share one formatted tail; the rows of a run of ``EventRuns``
+    are formatted from its ticks, with no event built."""
     stream.write(EVENT_LOG_HEADER + "\n")
     # (source, payload id) -> (payload, tail). An entry holds its payload,
     # so no other object can take that id while the entry lives.
     tails: Dict[Tuple[str, int], Tuple[Payload, str]] = {}
-    for event in events:
-        key = (event.source, id(event.payload))
+
+    def tail(source: str, payload: Payload) -> str:
+        key = (source, id(payload))
         cached = tails.get(key)
         if cached is None:
             if len(tails) == _TAILS_CACHED:
                 tails.clear()
             cached = tails[key] = (
-                event.payload, "," + ",".join(event_to_row(event)[1:]) + "\n")
-        stream.write(repr(event.timestamp) + cached[1])
+                payload, "," + ",".join(_row_tail(source, payload)) + "\n")
+        return cached[1]
+
+    if not isinstance(events, EventRuns):
+        for event in events:
+            stream.write(repr(event.timestamp) + tail(event.source, event.payload))
+        return
+    start, tick = events.start, events.tick
+    for entry in events.entries:
+        if entry.__class__ is SensorEvent:
+            stream.write(repr(entry.timestamp) + tail(entry.source, entry.payload))
+        else:
+            k, period, count, source, payload = entry
+            text = tail(source, payload)
+            stream.write("".join([repr(start + j * tick) + text for j in
+                                  range(k, k + count * period, period)]))
 
 
-def read_event_log(stream) -> List[SensorEvent]:
+def read_event_log(stream, grid: Optional[Tuple[float, float]] = None) -> EventRuns:
     """Parse an event-log CSV; raises ValueError naming the bad line. Every
     row's timestamp is parsed and checked, and each distinct text after it
-    is parsed once: the rows that repeat it share one payload object."""
-    events: List[SensorEvent] = []
+    is parsed once: the rows that repeat it share one payload object. With
+    a ``grid`` (start, tick), rows whose timestamps sit on it are joined
+    into runs; every other row stays alone."""
+    start, tick = grid if grid is not None else (0.0, 1.0)
+    events = EventRuns(start, tick)
+    add = events.add
     header = stream.readline().rstrip("\n")
     if header != EVENT_LOG_HEADER:
         raise ValueError(f"line 1: expected header {EVENT_LOG_HEADER!r}")
     tails: Dict[str, Tuple[str, Payload]] = {}    # text -> (source, payload)
+    # the rows read but not yet added: ``count`` rows of ``run`` at ticks
+    # first, first + period, ..., and the time of the next one
+    run: Optional[Tuple[str, Payload]] = None
+    first = period = count = 0
+    following = math.nan
     for lineno, line in enumerate(stream, start=2):
         line = line.rstrip("\n")
         if not line:
@@ -368,7 +661,24 @@ def read_event_log(stream) -> List[SensorEvent]:
             if len(tails) == _TAILS_CACHED:
                 tails.clear()
             parsed = tails[tail] = _parse_tail(lineno, tail)
-        events.append(SensorEvent(ts, *parsed))
+        if parsed is run and ts == following:
+            count += 1
+            following = start + (first + count * period) * tick
+            continue
+        k = grid_tick(start, tick, ts) if grid is not None else None
+        if k is not None and parsed is run and count == 1 and k > first:
+            period, count = k - first, 2
+            following = start + (first + 2 * period) * tick
+            continue
+        if run is not None:
+            add(first, period, count, *run)
+            run = None
+        if k is None:
+            events.extend((SensorEvent(ts, *parsed),))
+        else:
+            run, first, period, count, following = parsed, k, 1, 1, math.nan
+    if run is not None:
+        add(first, period, count, *run)
     return events
 
 

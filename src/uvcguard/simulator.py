@@ -2,17 +2,23 @@
 
 A run is three passes over the tick grid: sense, decide, expose. The
 sensing pass interpolates occupant positions and evaluates the physical
-sensor models: it writes the event log, handing on each event as it is
-made. The decide pass feeds the events through fusion and steps the
-controller: it writes the command log. The exposure pass turns the command
-log and any ``unsafe_force_on`` windows into the lamps lit over each tick,
-the probe irradiance, the lamp on-intervals (and from them the floor dose
-grid) and the occupant exposure audit. All randomness comes from one
-seeded generator drawn in a fixed order, so a scenario run twice with the
-same seed produces identical output byte for byte. simulate() runs all
-three; replay() is the decide pass alone on recorded events, and
-safety_check() the exposure pass alone on recorded commands: the commands
-follow from the sensor events alone, and the audit from the commands.
+sensor models: it writes the event log. The decide pass feeds the events
+through fusion and steps the controller: it writes the command log. The
+exposure pass turns the command log and any ``unsafe_force_on`` windows
+into the lamps lit over each tick, the probe irradiance, the lamp
+on-intervals (and from them the floor dose grid) and the occupant exposure
+audit. All randomness comes from one seeded generator drawn in a fixed
+order, so a scenario run twice with the same seed produces identical output
+byte for byte. simulate() runs all three; replay() is the decide pass alone
+on recorded events, and safety_check() the exposure pass alone on recorded
+commands: the commands follow from the sensor events alone, and the audit
+from the commands.
+
+Sensor events travel as runs (``fusion.EventRuns``): rows of one payload
+from one source at a fixed period in ticks, held as a first tick, a period,
+a row count, a source and a payload, one run after another in row order.
+The sensing pass makes a still span's rows as runs, and a run continues
+across spans while its source repeats an equal payload at its period.
 
 Time advances to the next event where nothing can happen in between. The
 decide pass snapshots fusion and steps the controller only at tick 0,
@@ -20,20 +26,26 @@ after an ingest that opens a hold window or presses the manual switch, and
 at the first tick at or after the next hold-window expiry or controller
 rule due (``next_change_at``, ``next_due_at``); on every other tick a step
 would only renew the recency stamps of open windows, which the next step
-restamps with the last skipped tick. While nobody inside moves and nobody
-moves before the next waypoint, every tick emits the same sensor payloads
-and draws nothing. Such a still span runs up to that waypoint, the next PIR
-false positive, the end of an open latch or, with RSSI noise, the next BLE
-advert, and no span starts on a tick into which someone inside moved or on
-which a false positive falls. Its ticks repeat the payloads that the sensor
-models made on its first tick, or on its first advert tick; the models run
-again on its last tick, so that every latch ends where stepping each tick
-leaves it, and ticks that emit nothing are crossed in one jump. The
-exposure pass jumps from tick 1 on while nobody moves and no lamp is forced
-on, up to the next command or waypoint, adding the dose of the skipped
-ticks at once, unless a ceiling lamp is lit with anyone inside or a desk
-lamp over someone in its zone. The output is the same byte for byte as
-stepping every tick.
+restamps with the last skipped tick. Only the first row of a run can open
+a window when each row falls before the previous one's timestamp plus its
+hold: that row goes in alone through ``ingest``, and the rest of the run
+waits and goes in through one ``ingest_runs`` call, with the waiting rows
+of the other runs, before the next tick that steps or the next row that
+goes in alone. Rows go in one at a time where that does not hold: with a
+zero hold or a hold no longer than the period, for anomalies and manual
+switch presses, and for rows off the tick grid. While nobody inside moves
+and nobody moves before the next waypoint, every tick emits the same sensor
+payloads and draws nothing. Such a still span runs up to that waypoint, the
+next PIR false positive, the end of an open latch or, with RSSI noise, the
+next BLE advert, and no span starts on a tick into which someone inside
+moved or on which a false positive falls. Its ticks repeat the payloads
+that the sensor models made on its first tick, or on its first advert tick;
+the models run again on its last tick, so that every latch ends where
+stepping each tick leaves it. The exposure pass jumps from tick 1 on while
+nobody moves, up to the next command, waypoint or start or end of a forced
+window, adding the dose of the skipped ticks at once, unless a ceiling lamp
+is lit with anyone inside or a desk lamp over someone in its zone. The
+output is the same byte for byte as stepping every tick.
 
 Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 """
@@ -52,9 +64,10 @@ from .controller import (ControllerState, CyclePolicy, LampAction,
                          step)
 from .dosimetry import (DoseGrid, LampOnIntervals, accumulate_dose,
                         irradiance_at_point)
-from .fusion import (BleAdvert, FusionParams, OccupancyFusion,
+from .fusion import (BleAdvert, EventRuns, FusionParams, OccupancyFusion,
                      OccupancySnapshot, Payload, PirMotion, SensorEvent,
-                     UsPresence, distance_to_rssi, sort_events)
+                     TickTimes, UsPresence, distance_to_rssi, each_within,
+                     grid_tick, sort_events)
 from .room import (ID_PATTERN, LampSpec, LampTier, Point3, RoomModel,
                    SensorKind, SensorSpec, angle_between_deg,
                    require_finite, validate as validate_room)
@@ -65,6 +78,7 @@ CHEST_HEIGHT = 1.1             # m; exposure accounting plane
 PROBE_HEIGHT = 0.7             # m; desk-level virtual radiometers
 MAX_RECORDED_VIOLATIONS = 10000
 MAX_TICKS = 2_000_000          # 16 MB of probe rows, 8 bytes a tick
+PIR_MOTION = PirMotion()       # the one payload of every PIR trigger
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +321,15 @@ def ble_model(receiver: SensorSpec, beacon_pos: Point3, params: FusionParams,
 class Timeline:
     """Chronological record of everything a run produced. Tick k starts at
     ``start_time + k * tick``; ``probe_samples[k]`` holds its probe values,
-    one tuple object shared by each run of ticks with unchanged lamps."""
+    one tuple object shared by each run of ticks with unchanged lamps.
+    ``simulate`` holds the sensor events as ``EventRuns`` on that grid."""
 
     scenario_name: str
     start_time: float
     end_time: float
     tick: float
     probe_names: Tuple[str, ...]
-    events: List[SensorEvent] = field(default_factory=list)
+    events: Sequence[SensorEvent] = field(default_factory=list)
     commands: List[LampCommand] = field(default_factory=list)
     probe_samples: List[Tuple[float, ...]] = field(default_factory=list)
     lamp_intervals: LampOnIntervals = field(default_factory=dict)
@@ -707,7 +722,7 @@ class _Sensing:
                         fired = True
                         self.next_fp[sensor.id] += self.rng.expovariate(self.fp_rate)
                 if fired:
-                    payload = PirMotion()
+                    payload = PIR_MOTION
             elif kind is SensorKind.ULTRASONIC:
                 distance = us_model(sensor, inside_positions) \
                     if inside_positions else None
@@ -760,12 +775,17 @@ class _Sensing:
         return max(stop - 1, k + 1)
 
 
-def _sense(scenario: Scenario, log: List[SensorEvent]) -> Iterator[SensorEvent]:
-    """The sensing pass: each event appended to ``log`` and yielded as it is
-    made. It reads no controller state, and simulate() pulls it to the end."""
+def _sense(scenario: Scenario, runs: EventRuns) -> Iterator[list]:
+    """The sensing pass: adds the run's sensor events to ``runs``, on its
+    tick grid, and yields its entries in batches as they settle: after each
+    tick that starts no still span, and within a span after each advert,
+    all but the last entry, which later rows may still extend. It reads no
+    controller state, and simulate() pulls it to the end."""
     ticks = _TickGrid(scenario)
     occupants = _Occupants(scenario, ticks)
     sensing = _Sensing(scenario, ticks)
+    entries = runs.entries
+    settled = 0
     k = 0
     while k < ticks.count:
         # tick k runs the sensor models, and the later ticks of a still span
@@ -777,45 +797,167 @@ def _sense(scenario: Scenario, log: List[SensorEvent]) -> Iterator[SensorEvent]:
         while k < until:
             t = ticks.time(k)
             advert = sensing.advert_due(t)
-            payloads = repeats[advert]
-            if payloads is None:
-                payloads = repeats[advert] = sensing.tick(t, occupants, advert)
-                quiet = repeats[False] == []
-            for source, payload in payloads:
-                event = SensorEvent(t, source, payload)
-                log.append(event)
-                yield event
-            k += 1
-            if quiet and k < until:
-                # no event before the span's last tick or the next advert
-                k = min(until, ticks.first_at(sensing.next_advert - 1e-9))
+            if until == k + 1:
+                # a tick alone: its rows stay alone
+                payloads = sensing.tick(t, occupants, advert)
+                if payloads:
+                    runs.extend([SensorEvent(t, source, payload)
+                                 for source, payload in payloads])
+                k = until
+            else:
+                payloads = repeats[advert]
+                if payloads is None:
+                    payloads = repeats[advert] = sensing.tick(t, occupants, advert)
+                # the ticks before the span's last tick or the next advert
+                # make what a tick without an advert made
+                end = k + 1 if advert else \
+                    min(until, ticks.first_at(sensing.next_advert - 1e-9))
+                if len(payloads) == 1:
+                    runs.add(k, 1, end - k, *payloads[0])
+                elif payloads:
+                    for j in range(k, end):
+                        for source, payload in payloads:
+                            runs.add(j, 1, 1, source, payload)
+                k = end
+            if len(entries) - 1 > settled:
+                yield entries[settled:-1]
+                settled = len(entries) - 1
         occupants.move_to(k)
+    yield entries[settled:]
 
 
-def _decide(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampCommand]:
-    """The decide pass over time-ordered events. Tick k steps once the events
-    up to its time are in; the ticks after it before ``next_k`` only feed
-    fusion, up to the first ingest that raises ``ingested``."""
+def _decide(scenario: Scenario, batches: Iterable[list]) -> List[LampCommand]:
+    """The decide pass over the entries of time-ordered ``EventRuns`` on the
+    scenario's tick grid, taken in batches.
+    Tick k steps once the rows up to its time are in; the ticks after it
+    before ``next_k`` only feed fusion, up to the first ingest that raises
+    ``ingested``.
+
+    Here a run is rows of one source at a fixed period whose payloads are
+    of one kind and hold the same window for the same ``hold``: fusion
+    takes each of its rows as it takes the first. A row that may open a
+    window goes in alone through ``ingest``, and its own tick steps if it
+    raises ``ingested``: the first row of a run, and each row of a run
+    whose rows are not ``each_within`` their hold. The later rows of a run
+    whose rows are wait, and go in through one ``ingest_runs`` call, as
+    rows of its latest payload, before the next tick that steps or the next
+    row that goes in alone."""
     ticks = _TickGrid(scenario)
     control = _Control(scenario, ticks)
     fusion = control.fusion
-    ingest = fusion.ingest
-    commands: List[LampCommand] = []
-    k, t = 0, ticks.time(0)         # the next tick to step, and its time
-    for event in events:
-        while event.timestamp > t and k < ticks.count:
+    hold_of = fusion.hold
+    start, tick, count = ticks.start, ticks.tick, ticks.count
+    # the latest run of each source, [source, latest payload, period, fed,
+    # last, hold, time of the next row, end of the last row's hold]: its rows up
+    # to tick ``fed`` are in, and those after it up to ``last`` wait, each
+    # within the hold of the one before. A period of 0 is not known yet
+    runs: Dict[str, list] = {}
+    waiting: List[list] = []
+
+    def feed(upto_k: int, bound: float) -> None:
+        """Feed fusion the waiting rows at ticks up to ``upto_k`` and at
+        times up to ``bound``, in one call."""
+        pieces = []
+        keep = []
+        for run in waiting:
+            source, payload, period, fed, last = run[:5]
+            upto = fed
+            if upto_k > fed:
+                upto += (min(upto_k, last) - fed) // period * period
+            while upto < last and start + (upto + period) * tick <= bound:
+                upto += period
+            if upto > fed:
+                pieces.append((
+                    TickTimes(start, tick, range(fed + period, upto + 1, period))
+                    if upto > fed + period else (start + upto * tick,),
+                    source, payload))
+                run[3] = upto
+            if upto < last:
+                keep.append(run)
+        waiting[:] = keep
+        fusion.ingest_runs(pieces)
+
+    def step_to(ts: float) -> None:
+        """Step every tick that must step before a row at ``ts``."""
+        nonlocal k, t
+        while ts > t and k < count:
+            if waiting and not control.idle(k):
+                feed(k, t)
             commands.extend(control.decide(k, t))
             k = max(k + 1, control.next_k)
             t = ticks.time(k)
-        ingest(event)
-        if fusion.ingested:
-            # the ingest that raised it makes its own tick the next to step
-            k = ticks.first_at(event.timestamp)
-            t = ticks.time(k)
-    while k < ticks.count:
-        commands.extend(control.decide(k, t))
-        k = max(k + 1, control.next_k)
-        t = ticks.time(k)
+
+    commands: List[LampCommand] = []
+    k, t = 0, ticks.time(0)         # the next tick to step, and its time
+    for entry in itertools.chain.from_iterable(batches):
+        if entry.__class__ is SensorEvent:
+            ts, source, payload = entry.timestamp, entry.source, entry.payload
+            if ts > t and k < count:
+                step_to(ts)
+            run = runs.get(source)
+            if run is not None and ts == run[6] and ts < run[7] and (
+                    run[1] is payload or run[1].__class__ is payload.__class__
+                    and hold_of(source, payload) == run[5]):
+                # the next row of the run, within the hold of the one before
+                if run[3] == run[4]:
+                    waiting.append(run)
+                run[1] = payload
+                run[4] += run[2]
+                run[6] = start + (run[4] + run[2]) * tick
+                run[7] = ts + run[5]
+                continue
+            # a lone row; off the grid it starts no run
+            row = last = grid_tick(start, tick, ts)
+            period = 0
+        else:
+            row, period, n, source, payload = entry
+            last = row + (n - 1) * period
+            ts = start + row * tick
+        while True:
+            if ts > t and k < count:
+                step_to(ts)
+            run = runs.get(source)
+            if run is not None and row is not None and row > run[4] and (
+                    run[1] is payload or run[1].__class__ is payload.__class__
+                    and hold_of(source, payload) == run[5]):
+                gap = row - run[4]
+                if run[2] in (0, gap) and ts < run[7] and (
+                        row == last or period == gap and each_within(
+                            TickTimes(start, tick, range(row, last + 1, gap)),
+                            run[5])):
+                    # the rest of the entry continues the run
+                    if run[3] == run[4]:
+                        waiting.append(run)
+                    run[1], run[2], run[4] = payload, gap, last
+                    run[6] = start + (last + gap) * tick
+                    run[7] = start + last * tick + run[5]
+                    break
+            # this row goes in alone, after the waiting rows before it
+            if waiting:
+                upto_k = row
+                if row is None:
+                    upto_k = ticks.first_at(ts)
+                    if ticks.time(upto_k) > ts:
+                        upto_k -= 1
+                feed(upto_k, ts)
+            fusion.ingest(entry if period == 0 else SensorEvent(ts, source, payload))
+            if fusion.ingested:
+                # the ingest that raised it makes its own tick the next to step
+                k = ticks.first_at(ts)
+                t = ticks.time(k)
+            if row is None:
+                break
+            hold = hold_of(source, payload)
+            if hold is None:
+                runs.pop(source, None)
+            else:
+                runs[source] = [source, payload, 0, row, row, hold, math.nan,
+                                ts + hold]
+            if row == last:
+                break
+            row += period
+            ts = start + row * tick
+    step_to(math.inf)
     return commands
 
 
@@ -829,7 +971,8 @@ def simulate(scenario: Scenario) -> SimulationResult:
     timeline = Timeline(scenario_name=scenario.name, start_time=ticks.start,
                         end_time=ticks.time(ticks.count), tick=ticks.tick,
                         probe_names=tuple(name for name, _ in _probe_points(room)))
-    timeline.commands = _decide(scenario, _sense(scenario, timeline.events))
+    events = timeline.events = EventRuns(ticks.start, ticks.tick)
+    timeline.commands = _decide(scenario, _sense(scenario, events))
     timeline.probe_samples, spans, safety = _expose(scenario, timeline.commands)
     timeline.lamp_intervals = {
         lamp_id: [(ticks.time(a), ticks.time(b)) for a, b in pairs]
@@ -846,8 +989,13 @@ def simulate(scenario: Scenario) -> SimulationResult:
 def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampCommand]:
     """Lamp commands re-derived from a run's sensor events alone: simulate()'s
     own decide pass over the events in time order, so a run's own event log
-    reproduces its command log exactly."""
-    return _decide(scenario, sort_events(events))
+    reproduces its command log exactly. Events that are not ``EventRuns`` in
+    time order on the scenario's grid are sorted and joined into runs."""
+    if not (isinstance(events, EventRuns) and events.start == scenario.start_time
+            and events.tick == scenario.tick and events.in_order()):
+        events = EventRuns.of(sort_events(events), scenario.start_time,
+                              scenario.tick)
+    return _decide(scenario, (events.entries,))
 
 
 # ---------------------------------------------------------------------------
@@ -858,14 +1006,18 @@ class _LampState:
     """Lamps lit over each tick: the controller's commands plus the
     ``unsafe_force_on`` windows. ``on`` lists them in switch-on order, ties
     in room order, so sums over it repeat bit for bit whatever the hash
-    seed. On-intervals are tick-index pairs."""
+    seed. On-intervals are tick-index pairs. ``switches`` holds the ticks on
+    which a forced window starts or ends, the next one last: the lamps lit
+    change only on them and after a command."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, ticks: _TickGrid):
         start = scenario.start_time
         self.lamps = scenario.room.lamps
         self.force_on = {lamp: tuple((start + s, start + e) for s, e in spans)
                          for lamp, spans in scenario.unsafe_force_on.items()
                          if spans}
+        self.switches = sorted({ticks.first_at(t) for spans in self.force_on.values()
+                                for window in spans for t in window}, reverse=True)
         self.commanded: Set[str] = set()
         self.pending = False
         self.on: Dict[str, LampSpec] = {}
@@ -881,8 +1033,11 @@ class _LampState:
 
     def settle(self, k: int, t: float) -> bool:
         """Bring ``on`` up to date at tick k, time t; True if it changed."""
-        if not self.pending and not self.force_on:
+        switches = self.switches
+        if not self.pending and not (switches and switches[-1] <= k):
             return False
+        while switches and switches[-1] <= k:
+            switches.pop()
         self.pending = False
         lit = {l.id: l for l in self.lamps if l.id in self.commanded or any(
             s <= t < e for s, e in self.force_on.get(l.id, ()))}
@@ -912,7 +1067,7 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand]) -> Tuple[
     segment against the lamps lit over it. A command acts from the first
     tick at or after its timestamp, in log order."""
     ticks = _TickGrid(scenario)
-    lamps = _LampState(scenario)
+    lamps = _LampState(scenario, ticks)
     occupants = _Occupants(scenario, ticks)
     audit = _SafetyAccumulator(scenario, occupants.ids)
     probe_positions = [p for _, p in _probe_points(scenario.room)]
@@ -923,9 +1078,11 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand]) -> Tuple[
     while k < ticks.count:
         # -- cross ticks on which nobody moves and no lamp switches ----------
         # tick 0 starts the entry clocks of those inside
-        stop = occupants.parked_until() if 0 < k and not lamps.force_on else 0
+        stop = occupants.parked_until() if 0 < k else 0
         if stop > k + 1 and ci < len(commands):
             stop = min(stop, ticks.first_at(commands[ci].timestamp))
+        if stop > k + 1 and lamps.switches:
+            stop = min(stop, lamps.switches[-1])
         if stop > k + 1 and audit.still(ticks.time(k), occupants.positions,
                                         occupants.insides, lamps.on, stop - 1 - k):
             # tick stop-1 runs the loop body, whose audit covers the move

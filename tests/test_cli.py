@@ -356,12 +356,11 @@ def test_reference_suite_passes_end_to_end(tmp_path, capsys):
     assert summary["failing_seeds"] == []
 
 
-@pytest.mark.parametrize("flags", [["--reaction-deadline", "0"],
+@pytest.mark.parametrize("flags", [["--tz-offset", "nan"],
                                    ["--room", "missing.json"]])
 def test_reference_suite_checks_its_inputs_before_writing(flags, tmp_path,
                                                           capsys):
-    # each exited 1 and left manifest.json reading "running", the first
-    # also dose_map.csv
+    # each exited 1 and left manifest.json reading "running"
     flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
     out = tmp_path / "RS"
     assert main(["reference-suite", *flags, "--fuzz", "0",
@@ -372,9 +371,7 @@ def test_reference_suite_checks_its_inputs_before_writing(flags, tmp_path,
 
 def test_reference_suite_fuzz_walks_take_its_room_and_overrides(
         tmp_path, monkeypatch, capsys):
-    # the walks ran on the default room and policy whatever the flags said.
-    # Any deadline but the default 1 s fails the policy's bound (at most
-    # 1 s) or the midnight scenario's 1 s tick, so the offset stands in
+    # the walks ran on the default room and policy whatever the flags said
     doc = json.loads(serialize_room(default_room()))
     for lamp in doc["lamps"]:
         if lamp["id"] == "upper_room":

@@ -28,8 +28,9 @@ from uvcguard.controller import (
     write_command_log,
 )
 from uvcguard.fusion import (BleAdvert, FusionParams, ManualOff, ManualRearm,
-                             OccupancySnapshot, PirMotion, SensorEvent,
-                             UsPresence, distance_to_rssi, sort_events)
+                             OccupancyFusion, OccupancySnapshot, PirMotion,
+                             SensorEvent, UsPresence, distance_to_rssi,
+                             sort_events)
 from uvcguard.room import default_room
 from uvcguard.simulator import NoiseParams, Scenario, _Control, _TickGrid, replay
 
@@ -483,6 +484,47 @@ def test_skipping_control_matches_a_twin_that_steps_every_tick(
     # the one control loop, which feeds the events of idle ticks in one
     # go, on unsorted input with timestamps off the tick grid
     assert replay(scenario, events[::-1]) == every_tick
+
+
+# (ticks since the last burst began, payload, period in ticks, rows)
+_periodic_bursts = st.lists(st.tuples(st.integers(0, 60),
+                                      st.sampled_from(range(len(_TWIN_PAYLOADS))),
+                                      st.integers(1, 12), st.integers(1, 30)),
+                            max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_periodic_bursts, st.sampled_from([0.1, 0.5, 1.0]), st.booleans(),
+       st.sampled_from([0.0, 0.3, 3.0, 15.0]), st.sampled_from([0.0, 0.3, 10.0]),
+       st.sampled_from([0.3, 10.0]))
+def test_replay_of_runs_equals_replay_row_by_row(bursts, tick, vacant, pir_hold,
+                                                 us_hold, ble_hold):
+    # bursts that repeat a payload at a period, overlapping one another,
+    # with holds longer and shorter than the gap between their rows
+    policy = CyclePolicy(ceiling_cycle=60.0, desk_cycle=40.0,
+                         upper_room_cycle=30.0, upper_room_period=200.0,
+                         vacancy_grace=30.0, desk_quiet_gap=20.0)
+    count = sum(gap + rows * period for gap, _, period, rows in bursts) + \
+        int(120 / tick)
+    scenario = Scenario(
+        name="runs", room=ROOM, policy=policy,
+        fusion=FusionParams(pir_hold=pir_hold, us_hold=us_hold,
+                            ble_stale_after=ble_hold),
+        occupants=(), start_time=MIDNIGHT - 3600.0, duration=count * tick,
+        tick=tick, assume_vacant_at_start=vacant)
+    ticks = _TickGrid(scenario)
+    events, k = [], 0
+    for gap, index, period, rows in bursts:
+        k += gap
+        source, payload = _TWIN_PAYLOADS[index]
+        events += [SensorEvent(ticks.time(j), source, payload)
+                   for j in range(k, k + rows * period, period)]
+    events = sort_events(events)
+    by_run = replay(scenario, events)
+    with pytest.MonkeyPatch.context() as patch:
+        # no run holds open: every row goes in alone, as ingest takes it
+        patch.setattr(OccupancyFusion, "hold", lambda *args: None)
+        assert replay(scenario, events) == by_run
 
 
 # ---------------------------------------------------------------------------

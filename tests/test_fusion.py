@@ -4,21 +4,24 @@ import io
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uvcguard.fusion import (
     EVENT_LOG_HEADER,
     BleAdvert,
     EventOrderError,
+    EventRuns,
     FusionParams,
     ManualOff,
     ManualRearm,
     OccupancyFusion,
     PirMotion,
     SensorEvent,
+    TickTimes,
     UsPresence,
     distance_to_rssi,
+    each_within,
     event_to_row,
     read_event_log,
     rssi_to_distance,
@@ -321,6 +324,132 @@ def test_an_ingest_that_leaves_ingested_down_changes_no_step_input(
     t = ts + frac * (min(change, ts + 100.0) - ts)
     assume(t < change)
     assert _step_inputs(f.snapshot(t)) == _step_inputs(twin.snapshot(ts))
+
+
+# ---------------------------------------------------------------------------
+# runs: one update for a run leaves what ingesting each row leaves
+# ---------------------------------------------------------------------------
+
+def _state(f: OccupancyFusion) -> tuple:
+    return (f._latest_ts, f._motion_until, f._misc_until, dict(f._zone_until),
+            f._approach_until, f._manual_kill, f._manual_source,
+            f._last_motion_time, dict(f._source_until), list(f.anomalies),
+            f.ingested)
+
+
+_RUN_PAYLOADS = [
+    ("pir_1", PirMotion()),
+    ("pir_2", PirMotion()),
+    ("us_desk_2", UsPresence(distance=1.2)),
+    ("us_desk_2", UsPresence(distance=2.5)),                 # out of range
+    ("us_nowhere", UsPresence(distance=1.2)),                # no aimed zone
+    ("ble_door", BleAdvert("badge", distance_to_rssi(3.0, PARAMS))),
+    ("ble_door", BleAdvert("badge", distance_to_rssi(8.0, PARAMS))),
+    ("ble_door", BleAdvert("badge", 5.0)),                   # outside its band
+    ("kill_switch", ManualOff()),
+    ("kill_switch", ManualRearm()),
+]
+
+# (ticks since the last run's last row, payload, period in ticks, rows)
+_runs = st.lists(st.tuples(st.integers(0, 40),
+                           st.sampled_from(range(len(_RUN_PAYLOADS))),
+                           st.integers(1, 4), st.integers(1, 60)),
+                 min_size=1, max_size=6)
+# holds shorter than, equal to and longer than a period, and zero
+_holds = st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0, 15.0])
+_grid = st.tuples(st.sampled_from([0.0, 1_700_000_000.0]),
+                  st.sampled_from([0.1, 0.25, 1.0]))
+
+
+def _twins(pir_hold, us_hold, ble_hold):
+    params = FusionParams(pir_hold=pir_hold, us_hold=us_hold,
+                          ble_stale_after=ble_hold)
+    return (OccupancyFusion(default_room(), params),
+            OccupancyFusion(default_room(), params))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs, _holds, _holds, _holds, _grid, st.booleans())
+# a run that starts inside a window which ends before its last row
+@example([(0, 0, 1, 1), (0, 0, 1, 30)], 1.0, 0.0, 0.0, (0.0, 0.1), True)
+def test_a_run_ingest_equals_ingesting_each_row(runs, pir_hold, us_hold,
+                                                ble_hold, grid, clear):
+    start, tick = grid
+    by_run, by_row = _twins(pir_hold, us_hold, ble_hold)
+    k = 0
+    for gap, index, period, count in runs:
+        source, payload = _RUN_PAYLOADS[index]
+        times = TickTimes(start, tick, range(k + gap, k + gap + count * period,
+                                             period))
+        k = times.ks[-1]
+        by_run.ingest_runs([(times, source, payload)])
+        for ts in times:
+            by_row.ingest(SensorEvent(ts, source, payload))
+        assert _state(by_run) == _state(by_row)
+        if clear:
+            assert by_run.snapshot(times[-1]) == by_row.snapshot(times[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs, _holds, _holds, _holds, _grid)
+# a run inside another on the same window, given first: the other holds
+# the window open after the one the row before them opened has closed
+@example([(25, 1, 1, 3), (5, 0, 1, 30)], 1.0, 0.0, 0.0, (0.0, 0.1))
+def test_interleaved_runs_ingest_as_their_rows_in_time_order(
+        runs, pir_hold, us_hold, ble_hold, grid):
+    # runs that overlap in time, each fed after the rows before all of them
+    start, tick = grid
+    by_run, by_row = _twins(pir_hold, us_hold, ble_hold)
+    batch = [(TickTimes(start, tick, range(gap, gap + count * period, period)),
+              *_RUN_PAYLOADS[index]) for gap, index, period, count in runs]
+    for f in (by_run, by_row):
+        f.ingest(SensorEvent(start, "pir_1", PirMotion()))
+        f.snapshot(start)
+    by_run.ingest_runs(batch)
+    rows = [SensorEvent(ts, source, payload) for times, source, payload in batch
+            for ts in times]
+    for event in sorted(rows, key=lambda e: e.timestamp):
+        by_row.ingest(event)
+    assert _state(by_run) == _state(by_row)
+    with pytest.raises(EventOrderError):
+        by_run.ingest_runs([((start - tick,), "pir_1", PirMotion())])
+
+
+def test_a_run_holds_open_while_each_row_is_within_the_hold_before_it():
+    f = OccupancyFusion(default_room(), FusionParams(pir_hold=0.3, us_hold=0.0))
+
+    def holds(times, source, payload):
+        hold = f.hold(source, payload)
+        return hold is not None and each_within(times, hold)
+
+    assert holds(TickTimes(0.0, 0.1, range(0, 50)), "pir_1", PirMotion())
+    assert holds(TickTimes(0.0, 0.1, range(0, 50, 2)), "pir_1", PirMotion())
+    # 0.1 * 3 rounds up past 0.3: the third tick is not before 0.3
+    assert not holds(TickTimes(0.0, 0.1, range(0, 50, 3)), "pir_1", PirMotion())
+    assert not holds((0.0, 0.1), "us_desk_2", UsPresence(1.2))
+    assert holds((0.0, 100.0), "us_desk_2", UsPresence(2.5))   # out of range
+    assert not holds((0.0, 0.1), "us_nowhere", UsPresence(1.2))
+    assert not holds((0.0, 0.1), "kill_switch", ManualOff())
+
+
+def test_event_runs_read_as_their_rows():
+    runs = EventRuns(10.0, 0.5)
+    runs.add(0, 1, 3, "us_desk_2", UsPresence(1.2))
+    runs.add(3, 1, 1, "us_desk_2", UsPresence(1.2))       # joins the run
+    runs.add(5, 1, 1, "pir_1", PirMotion())
+    runs.add(7, 1, 1, "pir_1", PirMotion())               # a period of 2
+    runs.extend([SensorEvent(13.9, "pir_1", PirMotion())])  # off the grid
+    runs.add(9, 1, 1, "pir_1", PirMotion())
+    rows = [ev(10.0 + 0.5 * k, "us_desk_2", UsPresence(1.2)) for k in range(4)] + [
+        ev(12.5, "pir_1", PirMotion()), ev(13.5, "pir_1", PirMotion()),
+        ev(13.9, "pir_1", PirMotion()), ev(14.5, "pir_1", PirMotion())]
+    assert len(runs) == len(rows) == 8
+    assert [e if e.__class__ is SensorEvent else e[:3] for e in runs.entries] == [
+        [0, 1, 4], [5, 2, 2], rows[6], rows[7]]
+    assert runs == rows and list(runs) == rows and runs[5] == rows[5]
+    assert runs.in_order()
+    assert not EventRuns.of(rows[::-1], 10.0, 0.5).in_order()
+    assert EventRuns.of(rows, 10.0, 0.5) == runs
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import json
 import math
 import os
 import random
@@ -19,7 +20,9 @@ from uvcguard import simulator
 from uvcguard.controller import (CyclePolicy, read_command_log,
                                  write_command_log)
 from uvcguard.dosimetry import DoseGrid, accumulate_dose, irradiance_at_point
-from uvcguard.fusion import (EVENT_LOG_HEADER, BleAdvert, FusionParams,
+from uvcguard.cli import EXIT_OK, main
+from uvcguard.fusion import (EVENT_LOG_HEADER, BleAdvert, EventRuns,
+                             FusionParams, OccupancyFusion, SensorEvent,
                              distance_to_rssi, event_to_row, read_event_log,
                              write_event_log)
 from uvcguard.room import LampTier, Point3, SensorKind, default_room
@@ -618,6 +621,15 @@ NEXT_EVENT_RUNS = {
     "zero_hold_B": lambda: dataclasses.replace(
         reference_scenarios()["B"], duration=300.0,
         fusion=FusionParams(pir_hold=0.0, us_hold=0.0)),
+    # holds no longer than the tick and the advert period: each row may
+    # open its window again, so no run goes in as one update
+    "short_hold_B": lambda: dataclasses.replace(
+        reference_scenarios()["B"], duration=300.0,
+        fusion=FusionParams(pir_hold=0.1, us_hold=0.1, ble_stale_after=1.0)),
+    # adverts of the walker's beacon a second apart, each of which opens
+    # the approach window again: no two of them go in as one run
+    "short_stale_A": lambda: dataclasses.replace(
+        reference_scenarios()["A"], fusion=FusionParams(ble_stale_after=0.5)),
     # a latched ultrasonic sensor re-emits on every tick, and a PIR latch
     # stays open after each nudge
     "held_B": lambda: dataclasses.replace(
@@ -654,10 +666,23 @@ def _outputs(scenario, after_simulate=lambda: None):
             "replay": replay(scenario, result.timeline.events)}
 
 
+def _rows_one_at_a_time(patch) -> None:
+    """Every run the run builder makes has one row, and the decide pass
+    holds no run open: each row goes in alone through ``ingest``."""
+    def one_row_per_run(self, k, period, count, source, payload):
+        self.extend([SensorEvent(self.start + (k + j * period) * self.tick,
+                                 source, payload) for j in range(count)])
+
+    patch.setattr(EventRuns, "add", one_row_per_run)
+    patch.setattr(OccupancyFusion, "hold", lambda *args: None)
+
+
 @pytest.mark.parametrize("run", sorted(NEXT_EVENT_RUNS))
 def test_next_event_advance_equals_stepping_every_tick(run, monkeypatch):
     scenario = NEXT_EVENT_RUNS[run]()
     jumped = _outputs(scenario)
+    # the stepped side also ingests row by row
+    _rows_one_at_a_time(monkeypatch)
     # a controller rule always due and nobody ever parked: every tick
     # steps, and neither pass jumps
     monkeypatch.setattr(simulator, "next_due_at", lambda *args: -math.inf)
@@ -679,3 +704,36 @@ def test_next_event_advance_equals_stepping_every_tick(run, monkeypatch):
     assert jumped.keys() == stepped.keys()
     for name, output in jumped.items():
         assert_same(name, output, stepped[name])
+
+
+def test_an_edited_event_log_replays_its_runs_as_rows(tmp_path, monkeypatch):
+    assert main(["simulate", "--scenario", "B", "--out", str(tmp_path)]) == EXIT_OK
+    header, *rows = (tmp_path / "B" / "events.csv").read_text().splitlines()
+    manifest = json.loads((tmp_path / "B" / "manifest.json").read_text())
+    assert manifest["event_count"] == len(rows)
+    scenario = reference_scenarios()["B"]
+    # a row of the seated worker's ultrasonic run, and a block of that run
+    middle = next(i for i in range(len(rows) // 2, len(rows))
+                  if ",us_desk_2," in rows[i] and ",us_desk_2," in rows[i + 1])
+    ts, tail = rows[middle].split(",", 1)
+    shuffled = rows[:]
+    random.Random(7).shuffle(shuffled)
+    edits = {
+        "one row 1 ulp off the grid": rows[:middle] + [
+            repr(math.nextafter(float(ts), math.inf)) + "," + tail] +
+            rows[middle + 1:],
+        "a block cut from a run": rows[:middle] + rows[middle + 600:],
+        "shuffled": shuffled,
+    }
+    grid = (scenario.start_time, scenario.tick)
+    for name, edited in edits.items():
+        text = "\n".join([header, *edited]) + "\n"
+        # runs read back as their rows, read one at a time
+        assert read_event_log(io.StringIO(text), grid=grid) == \
+            read_event_log(io.StringIO(text)), name
+        by_run = replay(scenario, read_event_log(io.StringIO(text), grid=grid))
+        with monkeypatch.context() as patch:
+            _rows_one_at_a_time(patch)
+            by_row = replay(scenario, read_event_log(io.StringIO(text), grid=grid))
+        assert by_run == by_row, name
+        assert by_run
