@@ -41,7 +41,13 @@ next BLE advert, and no span starts on a tick into which someone inside
 moved or on which a false positive falls. Its ticks repeat the payloads
 that the sensor models made on its first tick, or on its first advert tick;
 the models run again on its last tick, so that every latch ends where
-stepping each tick leaves it. The exposure pass jumps from tick 1 on while
+stepping each tick leaves it. As it moves the occupants, the sensing pass
+records the run's track: each tick from which someone's entry clock
+changes. safety_check builds the same track by a walk over the kinematics
+alone. The exposure pass reads the entry clocks from the track. While no
+lamp the audit acts on is lit (none that emits downward, no ceiling lamp
+and no desk lamp guarding a zone) it jumps to the next command or start or
+end of a forced window, whoever moves. While one is lit, it jumps while
 nobody moves, up to the next command, waypoint or start or end of a forced
 window, adding the dose of the skipped ticks at once, unless a ceiling lamp
 is lit with anyone inside or a desk lamp over someone in its zone. The
@@ -219,7 +225,7 @@ def validate_scenario(sc: Scenario) -> List[str]:
         where = f"occupant {occ.occupant_id!r}"
         if not ID_PATTERN.fullmatch(occ.occupant_id):
             problems.append(f"{where}: id must match {ID_PATTERN.pattern}")
-        # the safety audit keys entry times and doses by occupant id
+        # the safety audit keys doses by occupant id
         if occ.occupant_id in occupant_ids:
             problems.append(f"{where}: duplicate id")
         occupant_ids.add(occ.occupant_id)
@@ -416,19 +422,21 @@ class _SafetyAccumulator:
     """Interval-based exposure audit of the exposure pass.
 
     Each observation covers one tick [t, t+tick) over which the lamp state
-    is constant. Room and zone entries are located geometrically on the
-    movement segment, so the audit clock starts at the true crossing
-    instant rather than the first tick that sampled the occupant inside.
-    A lamp-on overlap is a violation only past ``reaction_deadline`` after
-    room entry (when detection first became possible). Dose integrates
-    all downward-lamp irradiance at chest height while inside, no grace.
-    ``still`` accounts a span of ticks on which nobody moves and the lamps
-    stay as they are, without observing each, when it can record no
-    violation.
+    is constant. Room entries come from the track's entry clocks, which
+    start at the true crossing instant on the movement segment rather than
+    the first tick that sampled the occupant inside; zone entries are
+    located on the segment here. A lamp-on overlap is a violation only past
+    ``reaction_deadline`` after room entry (when detection first became
+    possible). Dose integrates all downward-lamp irradiance at chest height
+    while inside, no grace. Only the lamps in ``acted_on`` matter: on ticks
+    with none of them lit, ``observe`` changes nothing, and the exposure
+    pass skips them whoever moves. ``still`` accounts a span of ticks on
+    which nobody moves and the lamps stay as they are, without observing
+    each, when it can record no violation.
     """
 
     def __init__(self, scenario: Scenario, occupant_ids: Sequence[str]):
-        room = self.room = scenario.room
+        room = scenario.room
         self.deadline = scenario.policy.reaction_deadline
         self.tick = scenario.tick
         self.ceiling = {l.id: l for l in room.lamps if l.tier is LampTier.CEILING}
@@ -436,26 +444,26 @@ class _SafetyAccumulator:
         self.desk_zone = LampRoster.for_room(room).desk_lamp_zone
         self.zones = {z.desk_id: z for z in room.desk_zones}
         self.ids = list(occupant_ids)
-        self.entered_at: Dict[str, Optional[float]] = {o: None for o in occupant_ids}
+        # the lamps that can add dose or make a violation
+        self.acted_on = {l.id for l in room.lamps if l.emits_downward}.union(
+            self.ceiling, self.desk_zone)
         self.dose: Dict[str, float] = {o: 0.0 for o in occupant_ids}
         self.violations: List[SafetyViolation] = []
         self.violation_count = 0
 
-    def observe(self, t: float, occupant_id: str,
+    def acts_on(self, on_lamps: Mapping[str, LampSpec]) -> bool:
+        """Whether a lamp in ``on_lamps`` is one the audit acts on."""
+        return not self.acted_on.isdisjoint(on_lamps)
+
+    def observe(self, t: float, occupant_id: str, entered: Optional[float],
                 pos_a: Point3, inside_a: bool,
                 pos_b: Point3, inside_b: bool,
                 on_lamps: Dict[str, LampSpec]) -> None:
-        tick = self.tick
+        """Audit the tick at t of someone whose entry clock reads
+        ``entered`` on it, moving from ``pos_a`` to ``pos_b``."""
         if not inside_a and not inside_b:
-            self.entered_at[occupant_id] = None
             return
-        if inside_a:
-            if self.entered_at[occupant_id] is None:
-                self.entered_at[occupant_id] = t
-        else:
-            self.entered_at[occupant_id] = \
-                t + _box_entry_frac(pos_a, pos_b, self.room) * tick
-        entered = self.entered_at[occupant_id]
+        tick = self.tick
         # all sub-tick arithmetic runs on offsets from t: at epoch magnitudes
         # (t + tick) - t does not round back to tick, and that quantization
         # error would otherwise accumulate into the dose every single tick
@@ -503,19 +511,17 @@ class _SafetyAccumulator:
         """Dose at ``chest`` over the part of a tick from ``inside_off`` on."""
         return irradiance_at_point(downward_on, chest) * (self.tick - inside_off)
 
-    def still(self, t: float, positions: Sequence[Point3],
-              insides: Sequence[bool], on_lamps: Dict[str, LampSpec],
-              n: int) -> bool:
+    def still(self, t: float, entered: Sequence[Optional[float]],
+              positions: Sequence[Point3], insides: Sequence[bool],
+              on_lamps: Dict[str, LampSpec], n: int) -> bool:
         """Account the n ticks from t on, over which nobody moves from
         ``positions`` and ``on_lamps`` stay lit, as ``observe`` would, and
         return True; or return False, with nothing changed, if a violation
-        could be recorded on them. Entry clocks need nothing: those inside
-        keep theirs, and the tick that observes the next move of those
-        outside sets theirs afresh. Call it from tick 1 on, once the clocks
-        of those inside have started."""
+        could be recorded on them. ``entered`` holds the entry clocks on
+        the tick at t, which those inside keep over the span."""
         downward_on = [l for l in on_lamps.values() if l.emits_downward]
-        inside = [(occupant_id, pos) for occupant_id, pos, flag in
-                  zip(self.ids, positions, insides) if flag]
+        inside = [(occupant_id, pos, clock) for occupant_id, pos, flag, clock in
+                  zip(self.ids, positions, insides, entered) if flag]
         if not downward_on or not inside:
             return True
         if any(lamp_id in on_lamps for lamp_id in self.ceiling):
@@ -524,11 +530,11 @@ class _SafetyAccumulator:
             zone = self.zones[zone_id]
             if lamp_id in on_lamps and any(
                     zone.center.horizontal_distance_to(pos) <= zone.exclusion_radius
-                    for _, pos in inside):
+                    for _, pos, _ in inside):
                 return False
-        if any(self.entered_at[occupant_id] > t for occupant_id, _ in inside):
+        if any(clock > t for _, _, clock in inside):
             return False
-        for occupant_id, pos in inside:
+        for occupant_id, pos, _ in inside:
             # each tick's increment added once per tick, as observe adds it
             increment = self._dose(downward_on, Point3(pos.x, pos.y, CHEST_HEIGHT), 0.0)
             dose = self.dose[occupant_id]
@@ -639,20 +645,36 @@ class _Control:
 
 class _Occupants:
     """Scripted occupant kinematics on the tick grid: ``positions`` and
-    ``insides`` at the start of the current tick, ``prev_positions`` one
-    tick earlier (None before tick 0)."""
+    ``insides`` at the start of tick ``k``, ``prev_positions`` at the tick
+    visited before it (None before tick 0).
 
-    def __init__(self, scenario: Scenario, ticks: _TickGrid):
+    The run's track (``track=True``) records in ``clocks``, as (tick,
+    occupant index, clock), each tick from which an occupant's entry clock
+    changes: the instant the audit counts them inside from, or None. It
+    starts at tick 0 for those inside then; a tick that crosses into the
+    room sets it to the crossing instant on its movement segment, and it
+    is cleared from the first tick whose segment lies wholly outside. This
+    is the only code that computes entry instants. A track moves past no
+    waypoint before the tick it moves to, as ``walk`` and the sensing pass
+    move it: everyone stays where they were on the ticks in between."""
+
+    def __init__(self, scenario: Scenario, ticks: _TickGrid, track: bool = False):
         self.room = scenario.room
         self.ticks = ticks
         self.trackers = [_OccupantTracker(o) for o in scenario.occupants]
         self.ids = [o.occupant_id for o in scenario.occupants]
         self.positions: List[Optional[Point3]] = [None] * len(self.ids)
+        self.clocks: Optional[List[Tuple[int, int, Optional[float]]]] = None
+        self.k = 0
         self.move_to(0)
+        if track:
+            self.clocks = [(0, i, ticks.time(0))
+                           for i, inside in enumerate(self.insides) if inside]
+            self.clocked = list(self.insides)
 
     def parked_until(self) -> int:
         """The first tick at whose start someone may have moved, 0 while
-        someone moves: both passes jump only over ticks that end before it."""
+        someone moves: the passes jump only over ticks that end before it."""
         until = min([tr.parked_until() for tr in self.trackers], default=math.inf)
         return self.ticks.first_at(self.ticks.start + until) if until > -math.inf else 0
 
@@ -661,8 +683,41 @@ class _Occupants:
         offset = self.ticks.offset(k)
         states = [tr.at(offset) for tr in self.trackers]
         self.prev_positions = self.positions
+        was = self.insides if self.clocks is not None else None
         self.positions = [pos for pos, _ in states]
         self.insides = [flag or self.room.contains(pos) for pos, flag in states]
+        if was is not None:
+            self._track(k, was)
+        self.k = k
+
+    def _track(self, k: int, was: List[bool]) -> None:
+        """Record the clocks that change from the last tick visited to k:
+        the ticks in between keep its inside flags, so only tick k - 1 can
+        cross into the room, from where everyone was on the last tick."""
+        last, ticks = self.k, self.ticks
+        for i, now in enumerate(self.insides):
+            if was[i]:
+                continue        # the clock runs on, also on the tick that leaves
+            if self.clocked[i] and (not now or k > last + 1):
+                self.clocks.append((last, i, None))
+                self.clocked[i] = False
+            if now:
+                frac = _box_entry_frac(self.prev_positions[i], self.positions[i],
+                                       self.room)
+                self.clocks.append((k - 1, i, ticks.time(k - 1) + frac * ticks.tick))
+                self.clocked[i] = True
+
+    def walk(self) -> Iterator[Tuple[int, int, Optional[float]]]:
+        """The track's clock changes in tick order, from a walk through the
+        run with no sensing pass: into each tick while someone moves, and
+        over parked spans. It walks only as far as the changes are read."""
+        read = 0
+        while True:
+            yield from self.clocks[read:]
+            read = len(self.clocks)
+            if self.k == self.ticks.count:
+                return
+            self.move_to(max(self.k + 1, self.parked_until()))
 
 
 class _Sensing:
@@ -775,14 +830,15 @@ class _Sensing:
         return max(stop - 1, k + 1)
 
 
-def _sense(scenario: Scenario, runs: EventRuns) -> Iterator[list]:
-    """The sensing pass: adds the run's sensor events to ``runs``, on its
-    tick grid, and yields its entries in batches as they settle: after each
-    tick that starts no still span, and within a span after each advert,
-    all but the last entry, which later rows may still extend. It reads no
-    controller state, and simulate() pulls it to the end."""
-    ticks = _TickGrid(scenario)
-    occupants = _Occupants(scenario, ticks)
+def _sense(scenario: Scenario, runs: EventRuns,
+           occupants: _Occupants) -> Iterator[list]:
+    """The sensing pass: moves ``occupants`` through the run, adds the
+    run's sensor events to ``runs``, on its tick grid, and yields its
+    entries in batches as they settle: after each tick that starts no still
+    span, and within a span after each advert, all but the last entry,
+    which later rows may still extend. It reads no controller state, and
+    simulate() pulls it to the end."""
+    ticks = occupants.ticks
     sensing = _Sensing(scenario, ticks)
     entries = runs.entries
     settled = 0
@@ -972,8 +1028,10 @@ def simulate(scenario: Scenario) -> SimulationResult:
                         end_time=ticks.time(ticks.count), tick=ticks.tick,
                         probe_names=tuple(name for name, _ in _probe_points(room)))
     events = timeline.events = EventRuns(ticks.start, ticks.tick)
-    timeline.commands = _decide(scenario, _sense(scenario, events))
-    timeline.probe_samples, spans, safety = _expose(scenario, timeline.commands)
+    track = _Occupants(scenario, ticks, track=True)
+    timeline.commands = _decide(scenario, _sense(scenario, events, track))
+    timeline.probe_samples, spans, safety = _expose(scenario, timeline.commands,
+                                                    track.clocks)
     timeline.lamp_intervals = {
         lamp_id: [(ticks.time(a), ticks.time(b)) for a, b in pairs]
         for lamp_id, pairs in spans.items()}
@@ -1059,13 +1117,15 @@ class _LampState:
         return self.spans
 
 
-def _expose(scenario: Scenario, commands: Sequence[LampCommand]) -> Tuple[
+def _expose(scenario: Scenario, commands: Sequence[LampCommand],
+            clocks: Iterable[Tuple[int, int, Optional[float]]]) -> Tuple[
         List[Tuple[float, ...]], Dict[str, List[Tuple[int, int]]], SafetyReport]:
     """The lamps a command log lights, stepped along the tick grid: each
     tick's probe values (ticks with unchanged lamps share one tuple), the
     on-intervals as tick-index pairs, and the audit of each tick's movement
-    segment against the lamps lit over it. A command acts from the first
-    tick at or after its timestamp, in log order."""
+    segment against the lamps lit over it, with the entry clocks of the
+    run's track. A command acts from the first tick at or after its
+    timestamp, in log order."""
     ticks = _TickGrid(scenario)
     lamps = _LampState(scenario, ticks)
     occupants = _Occupants(scenario, ticks)
@@ -1073,24 +1133,28 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand]) -> Tuple[
     probe_positions = [p for _, p in _probe_points(scenario.room)]
     values: Tuple[float, ...] = tuple(0.0 for _ in probe_positions)
     samples: List[Tuple[float, ...]] = []
+    entered: List[Optional[float]] = [None] * len(occupants.ids)
+    changes = iter(clocks)
+    change = next(changes, None)
     ci = 0
+
+    def clocks_at(k: int) -> List[Optional[float]]:
+        nonlocal change
+        while change is not None and change[0] <= k:
+            _, i, clock = change
+            entered[i] = clock
+            change = next(changes, None)
+        return entered
+
+    def next_switch() -> int:
+        """The next tick on which the lamps lit may change."""
+        stop = ticks.first_at(commands[ci].timestamp) \
+            if ci < len(commands) else ticks.count
+        return min(stop, lamps.switches[-1]) if lamps.switches else stop
+
     k = 0
     while k < ticks.count:
-        # -- cross ticks on which nobody moves and no lamp switches ----------
-        # tick 0 starts the entry clocks of those inside
-        stop = occupants.parked_until() if 0 < k else 0
-        if stop > k + 1 and ci < len(commands):
-            stop = min(stop, ticks.first_at(commands[ci].timestamp))
-        if stop > k + 1 and lamps.switches:
-            stop = min(stop, lamps.switches[-1])
-        if stop > k + 1 and audit.still(ticks.time(k), occupants.positions,
-                                        occupants.insides, lamps.on, stop - 1 - k):
-            # tick stop-1 runs the loop body, whose audit covers the move
-            # into tick stop
-            samples.extend(itertools.repeat(values, stop - 1 - k))
-            k = stop - 1
         t = ticks.time(k)
-
         while ci < len(commands) and commands[ci].timestamp <= t:
             lamps.apply(commands[ci])
             ci += 1
@@ -1098,12 +1162,33 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand]) -> Tuple[
             on_lamps = list(lamps.on.values())
             values = tuple(irradiance_at_point(on_lamps, p) if on_lamps else 0.0
                            for p in probe_positions)
+        if not audit.acts_on(lamps.on):
+            # nothing lit that the audit acts on: whoever moves, it can
+            # record nothing, and the track keeps the entry clocks
+            stop = next_switch()
+            samples.extend(itertools.repeat(values, stop - k))
+            k = stop
+            continue
+
+        # -- cross ticks on which nobody moves and no lamp switches ----------
+        if occupants.k < k:
+            occupants.move_to(k)
+        stop = occupants.parked_until()
+        if stop > k + 1:
+            stop = min(stop, next_switch())
+        if stop > k + 1 and audit.still(t, clocks_at(k), occupants.positions,
+                                        occupants.insides, lamps.on, stop - 1 - k):
+            # tick stop-1 audits the move into tick stop
+            samples.extend(itertools.repeat(values, stop - 1 - k))
+            k = stop - 1
+            t = ticks.time(k)
         samples.append(values)
 
+        clocks_at(k)
         pos_a, in_a = occupants.positions, occupants.insides
         occupants.move_to(k + 1)
         for i, occupant_id in enumerate(occupants.ids):
-            audit.observe(t, occupant_id, pos_a[i], in_a[i],
+            audit.observe(t, occupant_id, entered[i], pos_a[i], in_a[i],
                           occupants.positions[i], occupants.insides[i], lamps.on)
         k += 1
     return samples, lamps.close(ticks.count), audit.report()
@@ -1112,9 +1197,11 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand]) -> Tuple[
 def safety_check(timeline: Timeline, scenario: Scenario) -> SafetyReport:
     """The exposure audit of a timeline's command record: simulate()'s own
     exposure pass over the logged commands, any forced-on test windows and
-    the scripted occupant motion. On commands read back from
+    the scripted occupant motion, whose track a walk over the kinematics
+    alone builds as far as the audit reads it. On commands read back from
     ``commands.csv`` it audits the log as written."""
-    return _expose(scenario, timeline.commands)[2]
+    track = _Occupants(scenario, _TickGrid(scenario), track=True)
+    return _expose(scenario, timeline.commands, track.walk())[2]
 
 
 # ---------------------------------------------------------------------------

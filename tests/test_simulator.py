@@ -516,19 +516,18 @@ def test_a_still_span_adds_the_dose_observe_adds():
     observed = simulator._SafetyAccumulator(sc, ["sitter"])
     spanned = simulator._SafetyAccumulator(sc, ["sitter"])
     for audit in (observed, spanned):
-        audit.observe(t0, "sitter", pos, True, pos, True, lit)
+        audit.observe(t0, "sitter", t0, pos, True, pos, True, lit)
     for k in range(1, 51):
-        observed.observe(t0 + k * sc.tick, "sitter", pos, True, pos, True, lit)
-    assert spanned.still(t0 + sc.tick, [pos], [True], lit, 50)
+        observed.observe(t0 + k * sc.tick, "sitter", t0, pos, True, pos, True, lit)
+    assert spanned.still(t0 + sc.tick, [t0], [pos], [True], lit, 50)
     assert spanned.report() == observed.report()
     assert observed.dose["sitter"] > 0.0
     # an entry clock that starts after the span's first tick does, or a lit
     # ceiling lamp, could make a tick differ from the rest: no span
     late = simulator._SafetyAccumulator(sc, ["sitter"])
-    late.entered_at["sitter"] = t0 + 1e-6
-    assert not late.still(t0, [pos], [True], lit, 50)
+    assert not late.still(t0, [t0 + 1e-6], [pos], [True], lit, 50)
     ceiling = {"ceiling_1": next(l for l in ROOM.lamps if l.id == "ceiling_1")}
-    assert not spanned.still(t0 + 6.0, [pos], [True], ceiling, 50)
+    assert not spanned.still(t0 + 6.0, [t0], [pos], [True], ceiling, 50)
     assert spanned.report() == observed.report()
 
 
@@ -558,14 +557,28 @@ def creeper() -> OccupantScript:
         wp(400.0, 2.15, 0.598)))
 
 
+def forced_over_entries(scenario: Scenario) -> Scenario:
+    """``scenario`` with ceiling 1 and desk 2 forced on over windows that
+    cross each occupant's entry: the first waypoint flagged inside ends
+    the segment that crosses the door."""
+    entries = [next(w.t for w in o.waypoints if w.inside_room)
+               for o in scenario.occupants]
+    return dataclasses.replace(scenario, unsafe_force_on={
+        "ceiling_1": tuple((e - 1.0, e + 1.5) for e in entries),
+        "desk_2": tuple((e - 0.5, e + 8.0) for e in entries)})
+
+
 def test_safety_check_agrees_with_the_engine():
     # the audit of the command log as written to and read back from
-    # commands.csv, with nothing else of the run
+    # commands.csv, with nothing else of the run: safety_check walks the
+    # kinematics for its own track of the entry clocks
     counts = []
     for sc in (make_scenario([walker()]),
                make_scenario([walker()],
                              unsafe_force_on={"ceiling_2": ((30.0, 45.0),)}),
-               unseen(seated()), unseen(creeper())):
+               unseen(seated()), unseen(creeper()),
+               *(forced_over_entries(random_walk_scenario(seed))
+                 for seed in range(20))):
         result = simulate(sc)
         log = io.StringIO()
         write_command_log(result.timeline.commands, log)
@@ -575,7 +588,83 @@ def test_safety_check_agrees_with_the_engine():
             commands=read_command_log(io.StringIO(log.getvalue())))
         assert safety_check(timeline, sc) == result.safety
         counts.append(result.safety.violation_count)
-    assert counts == [0, 150, 6800, 5980]
+    assert counts == [0, 150, 6800, 5980,
+                      154, 99, 108, 18, 33, 29, 72, 17, 57, 69,
+                      11, 54, 30, 35, 63, 50, 14, 88, 12, 176]
+
+
+def door_crosser() -> OccupantScript:
+    """Crosses the door plane at 20.53 s, mid-tick, and sits at desk 2."""
+    return OccupantScript("crosser", carries_beacon=False, waypoints=(
+        wp(0.0, 2.15, -0.5, inside=False),
+        wp(20.03, 2.15, -0.5, inside=False),
+        wp(21.03, 2.15, 0.5),
+        wp(25.03, 2.15, 4.5),
+        wp(200.0, 2.15, 4.5)))
+
+
+def test_violations_count_from_the_entry_the_track_locates():
+    # the crossing tick is dark: the exposure pass skips it, and the
+    # deadline runs from the crossing instant on the track
+    sc = make_scenario([door_crosser()], duration=200.0,
+                       unsafe_force_on={"ceiling_1": ((21.0, 30.0),)})
+    result = simulate(sc)
+    ticks = simulator._TickGrid(sc)
+    clocks = list(simulator._Occupants(sc, ticks, track=True).walk())
+    assert clocks == [(205, 0, pytest.approx(START + 20.53, abs=1e-6))]
+    first = result.safety.violations[0]
+    assert first.timestamp == clocks[0][2] + sc.policy.reaction_deadline
+    assert result.safety.violation_count == 85
+
+
+def swap_at_the_door() -> List[OccupantScript]:
+    """One worker leaves by 43.3 s while another enters at 40.57 s, mid-tick,
+    and sits in desk 2's zone."""
+    return [OccupantScript("leaver", False, (
+                wp(0.0, 2.15, 2.8), wp(40.0, 2.15, 2.8),
+                wp(43.3, 2.15, -0.5, inside=False),
+                wp(200.0, 2.15, -0.5, inside=False))),
+            OccupantScript("entrant", False, (
+                wp(0.0, 2.15, -0.5, inside=False),
+                wp(40.07, 2.15, -0.5, inside=False),
+                wp(45.07, 2.15, 4.5), wp(200.0, 2.15, 4.5)))]
+
+
+def test_the_walked_track_is_the_sensing_pass_track():
+    # safety_check walks the kinematics alone: moving ticks and parked
+    # spans' ends, fewer ticks than the sensing pass visits
+    scenarios = [random_walk_scenario(seed) for seed in range(20)] + [
+        make_scenario([door_crosser()], duration=200.0),
+        make_scenario(swap_at_the_door(), duration=200.0),
+        make_scenario([walker(), seated()]), unseen(creeper()),
+        # steps out, waits 1 mm outside the door and steps back in off the
+        # tick grid: the walk jumps from the wait into the room
+        make_scenario([OccupantScript("stepper", False, (
+            wp(0.0, 2.15, 1.0), wp(10.0, 2.15, -0.001, inside=False),
+            wp(19.95, 2.15, -0.001, inside=False), wp(21.95, 2.15, 1.0)))]),
+        reference_scenarios()["D"]]
+    clocks = []
+    for sc in scenarios:
+        ticks = simulator._TickGrid(sc)
+        sensed = simulator._Occupants(sc, ticks, track=True)
+        for _ in simulator._sense(sc, EventRuns(ticks.start, ticks.tick), sensed):
+            pass
+        walked = simulator._Occupants(sc, ticks, track=True)
+        assert list(walked.walk()) == sensed.clocks, sc.name
+        assert sensed.k == walked.k == ticks.count
+        clocks.append(walked.clocks)
+    # the swap: the leaver's clock from tick 0 until the first tick wholly
+    # outside, the entrant's from the crossing instant
+    assert clocks[21] == [(0, 0, START),
+                          (405, 1, pytest.approx(START + 40.57, abs=1e-6)),
+                          (433, 0, None)]
+    # the stepper's clock is cleared on the first tick wholly outside and
+    # set again on the tick that steps back in, where the straight segment
+    # from 19.9 s to 20 s, 0.05 s of walking at 0.5005 m/s, crosses the door
+    crossing = 0.1 * 0.001 / (0.05 * 0.5005)
+    assert clocks[24] == [(0, 0, START), (100, 0, None),
+                          (199, 0, pytest.approx(START + 19.9 + crossing,
+                                                 abs=1e-6))]
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +744,30 @@ NEXT_EVENT_RUNS = {
     "midnight_sitter": lambda: dataclasses.replace(
         reference_scenarios()["B"], duration=4800.0,
         start_time=MIDNIGHT_START + 600.0),
+    # entries in the dark, which the exposure pass skips, then a lamp
+    # forced on within the deadline of the crossing, or over the entrant's
+    # zone after the other worker left, or over someone inside at tick 0
+    "dark_door_crosser": lambda: make_scenario(
+        [door_crosser()], duration=200.0,
+        unsafe_force_on={"ceiling_1": ((21.0, 30.0),)}),
+    "dark_swap": lambda: make_scenario(
+        swap_at_the_door(), duration=200.0,
+        unsafe_force_on={"desk_2": ((60.0, 70.0),)}),
+    "inside_at_tick_0": lambda: make_scenario(
+        [seated(until=100.0)], duration=100.0,
+        unsafe_force_on={"ceiling_1": ((30.0, 100.0),)}),
 }
 
 
-def _outputs(scenario, after_simulate=lambda: None):
+def _outputs(scenario, after_each=lambda: None):
+    """What a run makes; ``after_each`` runs after simulate and after
+    safety_check."""
     result = simulate(scenario)
-    after_simulate()
+    after_each()
+    audit = safety_check(result.timeline, scenario)
+    after_each()
     return {**artifacts(result), "safety": result.safety,
-            "safety_check": safety_check(result.timeline, scenario),
+            "safety_check": audit,
             "replay": replay(scenario, result.timeline.events)}
 
 
@@ -683,27 +788,72 @@ def test_next_event_advance_equals_stepping_every_tick(run, monkeypatch):
     jumped = _outputs(scenario)
     # the stepped side also ingests row by row
     _rows_one_at_a_time(monkeypatch)
-    # a controller rule always due and nobody ever parked: every tick
-    # steps, and neither pass jumps
+    # a controller rule always due, nobody ever parked and every lamp one
+    # the audit acts on: every tick steps, and no pass jumps
     monkeypatch.setattr(simulator, "next_due_at", lambda *args: -math.inf)
     monkeypatch.setattr(simulator._OccupantTracker, "parked_until",
                         lambda self: -math.inf)
-    # each pass moves the occupants into every tick, one at a time: a span
-    # that takes its stop from anything but parked_until skips some
-    moves = []
+    monkeypatch.setattr(simulator._SafetyAccumulator, "acts_on",
+                        lambda self, on_lamps: True)
+    # the track, moved by the sensing pass or by safety_check's walk, and
+    # then the exposure pass move the occupants into every tick, one at a
+    # time: a span that takes its stop from anything but parked_until or
+    # acts_on skips some
+    moves: Dict[simulator._Occupants, List[int]] = {}
     move_to = simulator._Occupants.move_to
-    monkeypatch.setattr(simulator._Occupants, "move_to",
-                        lambda self, k: (moves.append(k), move_to(self, k))[1])
+    monkeypatch.setattr(simulator._Occupants, "move_to", lambda self, k: (
+        moves.setdefault(self, []).append(k), move_to(self, k))[1])
 
     def one_move_per_tick():
         count = int(round(scenario.duration / scenario.tick))
-        assert moves == [*range(count + 1)] * 2
+        assert [(occupants.clocks is not None, ks)
+                for occupants, ks in moves.items()] == [
+            (True, [*range(count + 1)]), (False, [*range(count + 1)])]
         moves.clear()
 
     stepped = _outputs(scenario, one_move_per_tick)
     assert jumped.keys() == stepped.keys()
     for name, output in jumped.items():
         assert_same(name, output, stepped[name])
+
+
+def test_decide_holds_back_only_rows_within_the_hold(monkeypatch):
+    # a PIR hold half an ulp of the epoch clock longer than the tick: of a
+    # walker's PIR rows, one a tick and each alone, some fall before the
+    # previous row's timestamp plus the hold and some do not. The commands
+    # cannot tell: a row that reopens the window lands on a tick that steps
+    # anyway, on which its row goes in before the snapshot
+    walk = random_walk_scenario(0)
+    hold = 0.1 + 0.5 * math.ulp(walk.start_time)
+    scenario = dataclasses.replace(walk, fusion=FusionParams(pir_hold=hold))
+    last: Dict[str, float] = {}
+    pir_within: List[bool] = []
+    held_back: List[bool] = []
+    ingest, ingest_runs = OccupancyFusion.ingest, OccupancyFusion.ingest_runs
+
+    def ingest_alone(self, event):
+        if event.source.startswith("pir") and event.source in last:
+            pir_within.append(event.timestamp < last[event.source] + hold)
+        last[event.source] = event.timestamp
+        ingest(self, event)
+
+    def ingest_held_back(self, runs):
+        for times, source, payload in runs:
+            for ts in times:
+                held_back.append(ts < last[source] + self.hold(source, payload))
+                if source.startswith("pir"):
+                    pir_within.append(held_back[-1])
+                last[source] = ts
+        ingest_runs(self, runs)
+
+    monkeypatch.setattr(OccupancyFusion, "ingest", ingest_alone)
+    monkeypatch.setattr(OccupancyFusion, "ingest_runs", ingest_held_back)
+    commands = simulate(scenario).timeline.commands
+    assert pir_within.count(True) > 100 and pir_within.count(False) > 100
+    assert held_back and all(held_back)
+    monkeypatch.undo()
+    _rows_one_at_a_time(monkeypatch)
+    assert simulate(scenario).timeline.commands == commands
 
 
 def test_an_edited_event_log_replays_its_runs_as_rows(tmp_path, monkeypatch):
