@@ -7,13 +7,18 @@ windows, never shorten them, so adding events never flips an occupied
 snapshot to vacant. Payloads the fuser does not recognize are treated as
 detections and logged as anomalies.
 
-Events travel as runs. A run is rows of one payload from one source at a
-fixed period on a tick grid whose tick k starts at ``start + k * tick``:
-a first tick, a period in ticks, a row count, a source and a payload.
-``EventRuns`` holds a log's rows in row order, one run after another, and
-reads as a sequence of ``SensorEvent`` rows; a lone row, on the grid or off
-it, stays a ``SensorEvent``. ``read_event_log`` joins rows on the grid into
-runs, and ``write_event_log`` formats a run's rows from its ticks.
+Events travel as runs per source. A run is rows of one payload from one
+source at a fixed period on a tick grid whose tick k starts at
+``start + k * tick``: a first tick, a period in ticks, a row count, a
+source, a payload and a lane, the n-th row the source emits on a tick.
+A run continues only the last run of its own source and lane, so rows of
+other sources between its rows do not cut it. ``EventRuns`` holds the runs
+in the order of their first rows and reads as a sequence of
+``SensorEvent`` rows merged in (timestamp, source, lane) order, which is
+``sort_events`` order; a row off the grid stays a ``SensorEvent``.
+``read_event_log`` joins rows on the grid into runs, and
+``write_event_log`` merges the runs window by window and formats each
+run's rows from its ticks.
 
 ``OccupancyFusion.ingest_runs`` takes the rows of runs as ``ingest`` would
 take each, merged in time order. When each row of a run falls before the
@@ -163,29 +168,50 @@ def _same_payload(a: Payload, b: Payload) -> bool:
                if isinstance(x, float))
 
 
+# ticks in one window of the merge of ``EventRuns``: each window costs a
+# few list operations, and each tick of it a slot per run under way
+_WINDOW = 1024
+
+
+def first_tick(start: float, tick: float, ts: float) -> int:
+    """The first tick k whose start ``start + k * tick`` is at or after ``ts``."""
+    k = math.ceil((ts - start) / tick)
+    while start + (k - 1) * tick >= ts:
+        k -= 1
+    while start + k * tick < ts:
+        k += 1
+    return k
+
+
 class EventRuns:
-    """Sensor events held as runs, in row order. A run
-    ``[first, period, count, source, payload]`` is ``count`` rows of one
-    payload from one source at ticks first, first + period, ... of the grid
-    whose tick k starts at ``start + k * tick``. A lone row, on the grid or
-    off it, is held as its ``SensorEvent``. It reads as a sequence of
-    ``SensorEvent`` rows: ``len`` counts rows, iteration builds them, and
+    """Sensor events held as runs per source. A run
+    ``[first, period, count, source, payload, lane]`` is ``count`` rows of
+    one payload from one source at ticks first, first + period, ... of the
+    grid whose tick k starts at ``start + k * tick``; its period is 0 while
+    it holds one row. A lane is the n-th row a source emits on one tick:
+    the adverts of two beacons that one receiver hears on a tick are two
+    lanes. A lone row, on the grid or off it, is held as its
+    ``SensorEvent``, in lane 0. ``entries`` holds runs and lone rows in the
+    order of their first rows, by (timestamp, source, lane), and the
+    collection reads as their rows merged in that order, which is
+    ``sort_events`` order: ``len`` counts rows, iteration builds them, and
     indexing builds them all."""
 
-    __slots__ = ("start", "tick", "entries", "_end")
+    __slots__ = ("start", "tick", "entries", "_lanes", "_added")
 
     def __init__(self, start: float, tick: float):
         self.start = start
         self.tick = tick
         self.entries: List[Union[list, SensorEvent]] = []
-        self._end: Optional[int] = None    # tick of the last row, on the grid
+        self._lanes: Dict[Tuple[str, int], list] = {}   # last run of each lane
+        self._added: Tuple[Optional[int], str, int] = (None, "", 0)
 
     @classmethod
     def of(cls, events: Iterable[SensorEvent], start: float,
            tick: float) -> "EventRuns":
-        """``events`` in the order given, as runs where they sit on the grid."""
+        """``events`` sorted stably, as runs where they sit on the grid."""
         runs = cls(start, tick)
-        for event in events:
+        for event in sort_events(events):
             k = grid_tick(start, tick, event.timestamp)
             if k is None:
                 runs.extend((event,))
@@ -195,50 +221,131 @@ class EventRuns:
 
     def add(self, k: int, period: int, count: int, source: str,
             payload: Payload) -> None:
-        """Append ``count`` rows of ``payload`` from ``source`` at ticks k,
-        k + period, ...: the run builder. The rows continue the last run
-        when they repeat its source and payload at its period."""
-        end = self._end
-        self._end = k + (count - 1) * period
-        entries = self.entries
-        if end is not None and entries:
-            last = entries[-1]
-            if last.__class__ is SensorEvent:
-                gap = k - end
-                if gap > 0 and (count == 1 or period == gap) and \
-                        last.source == source and \
-                        _same_payload(last.payload, payload):
-                    entries[-1] = [end, gap, count + 1, source, last.payload]
-                    return
-            elif k == end + last[1] and (count == 1 or period == last[1]) and \
-                    last[3] == source and _same_payload(last[4], payload):
-                last[2] += count
+        """Add ``count`` rows of ``payload`` from ``source`` at ticks k,
+        k + period, ...: the run builder. A row of the source that the
+        previous ``add`` added on tick k takes the next lane. The rows
+        continue the last run of their source and lane when they repeat its
+        payload at its period, or at any later tick after its one row."""
+        added = self._added
+        lane = added[2] + 1 if k == added[0] and source == added[1] else 0
+        self._added = (k, source, lane)
+        run = self._lanes.get((source, lane))
+        if run is not None:
+            gap = k - run[0] - (run[2] - 1) * run[1]
+            if gap > 0 and (run[1] == gap or not run[1]) and \
+                    (count == 1 or period == gap) and \
+                    (run[4] is payload or _same_payload(run[4], payload)):
+                # the run's rows read alike whichever of the equal payloads
+                # it holds: holding the latest makes the next check ``is``
+                run[1], run[4] = gap, payload
+                run[2] += count
                 return
-        if count == 1:
-            entries.append(SensorEvent(self.start + k * self.tick, source, payload))
-        else:
-            entries.append([k, period, count, source, payload])
+        run = self._lanes[source, lane] = [
+            k, period if count > 1 else 0, count, source, payload, lane]
+        self._append((run,), self.start + k * self.tick, source)
 
     def extend(self, events: Sequence[SensorEvent]) -> None:
-        """Append rows that no run continues, each alone."""
-        self.entries.extend(events)
-        self._end = None
+        """Add rows that no run holds, each alone, in ``sort_events`` order
+        among themselves."""
+        if events:
+            first = events[0]
+            self._append(events, first.timestamp, first.source)
 
-    def in_order(self) -> bool:
-        """Whether the rows are in ``sort_events`` order."""
-        start, tick = self.start, self.tick
-        prev = (-math.inf, "")
-        for entry in self.entries:
-            if entry.__class__ is SensorEvent:
-                first = last = (entry.timestamp, entry.source)
+    def _append(self, entries: Sequence, ts: float, source: str) -> None:
+        """Append ``entries``, the first of which starts at ``ts`` from
+        ``source``; sort all stably if it starts before the last one."""
+        held = self.entries
+        if held:
+            last = held[-1]
+            if last.__class__ is SensorEvent:
+                last_ts, last_source = last.timestamp, last.source
             else:
-                k, period, count, source, _ = entry
-                first = (start + k * tick, source)
-                last = (start + (k + (count - 1) * period) * tick, source)
-            if first < prev:
-                return False
-            prev = last
-        return True
+                last_ts, last_source = self.start + last[0] * self.tick, last[3]
+            held.extend(entries)
+            if ts < last_ts or ts == last_ts and source < last_source:
+                held.sort(key=self._head)
+        else:
+            held.extend(entries)
+
+    def _head(self, entry) -> Tuple[float, str, int]:
+        """(timestamp, source, lane) of the first row of ``entry``."""
+        if entry.__class__ is SensorEvent:
+            return entry.timestamp, entry.source, 0
+        return self.start + entry[0] * self.tick, entry[3], entry[5]
+
+    def _windows(self) -> Iterator[Tuple[Optional[range], list]]:
+        """The rows in order, window by window. A window is (ticks, placed):
+        the ticks a, a + g, ... of up to ``_WINDOW`` ticks over which no
+        entry starts, with g the largest step that holds every row in it,
+        and for each run with rows in it, in (source, lane, entry) order,
+        (entry, ks, at, into): its rows at ticks ``ks``, which sit at
+        ``ticks[at]``, and where they go in a list of
+        ``len(ticks) * len(placed)`` slots, tick by tick. A row off the grid
+        comes as (None, [(event, None, None, None)])."""
+        start, tick = self.start, self.tick
+        entries = self.entries
+        n = len(entries)
+        # runs under way: [source, lane, entry index, entry, tick of the
+        # next row, tick of the last row, period or 1]
+        runs: List[list] = []
+        i = 0
+        following = math.inf        # first tick of entries[i]
+        while True:
+            a = min([run[4] for run in runs], default=math.inf)
+            # the entries that start by tick a join the runs under way
+            joined = False
+            while i < n:
+                entry = entries[i]
+                if entry.__class__ is SensorEvent:
+                    k = first_tick(start, tick, entry.timestamp)
+                    if k > a:
+                        following = k
+                        break
+                    i += 1
+                    if start + k * tick != entry.timestamp:
+                        # off the grid: before the rows from tick k on
+                        yield None, [(entry, None, None, None)]
+                        continue
+                    runs.append([entry.source, 0, i - 1, entry, k, k, 1])
+                else:
+                    k = entry[0]
+                    if k > a:
+                        following = k
+                        break
+                    i += 1
+                    runs.append([entry[3], entry[5], i - 1, entry, k,
+                                 k + (entry[2] - 1) * entry[1], entry[1] or 1])
+                a = min(a, k)
+                joined = True
+            else:
+                following = math.inf
+            if not runs:
+                return
+            if joined:
+                runs.sort(key=itemgetter(0, 1, 2))
+            b = min(a + _WINDOW, following)
+            placed = []
+            step = 0
+            top = a
+            for run in runs:
+                j, period = run[4], run[6]
+                if j < b:
+                    end = j + (min(run[5], b - 1) - j) // period * period
+                    run[4] = end + period
+                    placed.append((run[3], range(j, end + 1, period)))
+                    step = math.gcd(step, j - a, period if end > j else 0)
+                    top = max(top, end)
+            step = step or 1
+            width = len(placed)
+            window = []
+            for r, (entry, ks) in enumerate(placed):
+                at = (ks.start - a) // step
+                stride = ks.step // step if len(ks) > 1 else 1
+                window.append((entry, ks, slice(at, at + len(ks) * stride, stride),
+                               slice(at * width + r, (at + (len(ks) - 1) * stride)
+                                     * width + r + 1, stride * width)))
+            yield range(a, top + 1, step), window
+            runs = [run for run in runs if run[4] <= run[5]]
 
     def __len__(self) -> int:
         return sum(1 if entry.__class__ is SensorEvent else entry[2]
@@ -246,13 +353,19 @@ class EventRuns:
 
     def __iter__(self) -> Iterator[SensorEvent]:
         start, tick = self.start, self.tick
-        for entry in self.entries:
-            if entry.__class__ is SensorEvent:
-                yield entry
-            else:
-                k, period, count, source, payload = entry
-                for j in range(k, k + count * period, period):
-                    yield SensorEvent(start + j * tick, source, payload)
+        for ticks, placed in self._windows():
+            if ticks is None:
+                yield placed[0][0]
+                continue
+            slots: List[Optional[SensorEvent]] = [None] * (len(ticks) * len(placed))
+            for entry, ks, _, into in placed:
+                if entry.__class__ is SensorEvent:
+                    slots[into] = (entry,)
+                else:
+                    source, payload = entry[3], entry[4]
+                    slots[into] = [SensorEvent(start + k * tick, source, payload)
+                                   for k in ks]
+            yield from filter(None, slots)
 
     def __getitem__(self, i):
         return list(self)[i]
@@ -266,7 +379,7 @@ class EventRuns:
     __hash__ = None     # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return (f"EventRuns({len(self)} rows in {len(self.entries)} runs, "
+        return (f"EventRuns({len(self)} rows in {len(self.entries)} entries, "
                 f"start={self.start!r}, tick={self.tick!r})")
 
 
@@ -592,8 +705,10 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
     """Write events as CSV rows in the order given. A row is the event's
     ``repr`` timestamp and the tail that ``event_to_row`` gives its source
     and payload. Rows whose source and payload object repeat, as those of a
-    run do, share one formatted tail; the rows of a run of ``EventRuns``
-    are formatted from its ticks, with no event built."""
+    run do, share one formatted tail. ``EventRuns`` are written in their
+    order window by window, with no event built: each run's rows from its
+    ticks, and where the rows fill a window's ticks, one timestamp text per
+    tick."""
     stream.write(EVENT_LOG_HEADER + "\n")
     # (source, payload id) -> (payload, tail). An entry holds its payload,
     # so no other object can take that id while the entry lives.
@@ -614,77 +729,123 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
             stream.write(repr(event.timestamp) + tail(event.source, event.payload))
         return
     start, tick = events.start, events.tick
-    for entry in events.entries:
-        if entry.__class__ is SensorEvent:
-            stream.write(repr(entry.timestamp) + tail(entry.source, entry.payload))
+    texts: Dict[int, str] = {}      # id of a run -> its rows' tail
+    for ticks, placed in events._windows():
+        if ticks is None:
+            event = placed[0][0]
+            stream.write(repr(event.timestamp) + tail(event.source, event.payload))
+            continue
+        # two slots a row, its timestamp and its tail, so that the window
+        # joins in one call; one timestamp text per tick, shared by the rows
+        # on it, when the window's rows fill its ticks
+        if len(ticks) <= sum(len(ks) for _, ks, _, _ in placed):
+            stamps = [repr(start + k * tick) for k in ticks]
         else:
-            k, period, count, source, payload = entry
-            text = tail(source, payload)
-            stream.write("".join([repr(start + j * tick) + text for j in
-                                  range(k, k + count * period, period)]))
+            stamps = None
+        slots = [""] * (2 * len(ticks) * len(placed))
+        for entry, ks, at, into in placed:
+            first, stop, step = 2 * into.start, 2 * into.stop - 1, 2 * into.step
+            if entry.__class__ is SensorEvent:
+                slots[first] = repr(entry.timestamp)
+                slots[first + 1] = tail(entry.source, entry.payload)
+                continue
+            text = texts.get(id(entry))
+            if text is None:
+                text = texts[id(entry)] = tail(entry[3], entry[4])
+            slots[first:stop:step] = stamps[at] if stamps is not None else \
+                [repr(start + k * tick) for k in ks]
+            slots[first + 1:stop + 1:step] = [text] * len(ks)
+        stream.write("".join(slots))
 
 
 def read_event_log(stream, grid: Optional[Tuple[float, float]] = None) -> EventRuns:
-    """Parse an event-log CSV; raises ValueError naming the bad line. Every
-    row's timestamp is parsed and checked, and each distinct text after it
-    is parsed once: the rows that repeat it share one payload object. With
-    a ``grid`` (start, tick), rows whose timestamps sit on it are joined
-    into runs; every other row stays alone."""
+    """Parse an event-log CSV into ``EventRuns``; raises ValueError naming
+    the bad line. Every row's timestamp is parsed and checked, and each
+    distinct text after it is parsed once: the rows that repeat it share
+    one payload object. With a ``grid`` (start, tick), the rows of each
+    text whose timestamps sit on it are joined into runs; every other row
+    stays alone. A log out of ``sort_events`` order is read row by row and
+    sorted."""
     start, tick = grid if grid is not None else (0.0, 1.0)
     events = EventRuns(start, tick)
-    add = events.add
+    entries = events.entries
     header = stream.readline().rstrip("\n")
     if header != EVENT_LOG_HEADER:
         raise ValueError(f"line 1: expected header {EVENT_LOG_HEADER!r}")
-    tails: Dict[str, Tuple[str, Payload]] = {}    # text -> (source, payload)
-    # the rows read but not yet added: ``count`` rows of ``run`` at ticks
-    # first, first + period, ..., and the time of the next one
-    run: Optional[Tuple[str, Payload]] = None
-    first = period = count = 0
-    following = math.nan
+    # text after the timestamp -> [source, payload, the text's latest run,
+    # the time of its next row, its lane]
+    tails: Dict[str, list] = {}
+    # the row before, and the lane of its source on its tick
+    prev_ts, prev, lane = -math.inf, [""], 0
+    rows: Optional[List[SensorEvent]] = None    # every row, once out of order
     for lineno, line in enumerate(stream, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
         ts_raw, _, tail = line.partition(",")
         parsed = tails.get(tail)
-        if parsed is None and tail.count(",") != 3:
-            raise ValueError(f"line {lineno}: expected 5 fields, "
-                             f"got {line.count(',') + 1}")
         try:
             ts = float(ts_raw)
         except ValueError:
             ts = math.nan
+        if parsed is not None and ts == parsed[3] and ts > prev_ts and \
+                not parsed[4]:
+            # the next row of the text's run, first on its tick
+            run = parsed[2]
+            run[2] += 1
+            parsed[3] = start + (run[0] + run[2] * run[1]) * tick
+            prev_ts, prev, lane = ts, parsed, 0
+            continue
+        if parsed is None:
+            if not line.rstrip("\n"):
+                continue
+            if tail.count(",") != 3:
+                raise ValueError(f"line {lineno}: expected 5 fields, "
+                                 f"got {line.count(',') + 1}")
         if not math.isfinite(ts):
             raise ValueError(f"line {lineno}: bad timestamp {ts_raw!r}")
         if parsed is None:
             if len(tails) == _TAILS_CACHED:
                 tails.clear()
-            parsed = tails[tail] = _parse_tail(lineno, tail)
-        if parsed is run and ts == following:
-            count += 1
-            following = start + (first + count * period) * tick
+            parsed = tails[tail] = [*_parse_tail(lineno, tail), None,
+                                    math.nan, 0]
+        source = parsed[0]
+        if rows is not None:
+            rows.append(SensorEvent(ts, source, parsed[1]))
             continue
-        k = grid_tick(start, tick, ts) if grid is not None else None
-        if k is not None and parsed is run and count == 1 and k > first:
-            period, count = k - first, 2
-            following = start + (first + 2 * period) * tick
-            continue
-        if run is not None:
-            add(first, period, count, *run)
-            run = None
-        if k is None:
-            events.extend((SensorEvent(ts, *parsed),))
+        if ts > prev_ts:
+            lane = 0
+        elif ts == prev_ts and source >= prev[0]:
+            lane = lane + 1 if source == prev[0] else 0
         else:
-            run, first, period, count, following = parsed, k, 1, 1, math.nan
-    if run is not None:
-        add(first, period, count, *run)
+            rows = [*events, SensorEvent(ts, source, parsed[1])]
+            continue
+        prev_ts, prev = ts, parsed
+        k = grid_tick(start, tick, ts) if grid is not None else None
+        if k is None:
+            events.extend((SensorEvent(ts, source, parsed[1]),))
+            continue
+        run = parsed[2]
+        if run is not None and lane == parsed[4]:
+            if ts == parsed[3]:
+                run[2] += 1
+                parsed[3] = start + (run[0] + run[2] * run[1]) * tick
+                continue
+            if run[2] == 1 and k > run[0]:
+                run[1], run[2] = k - run[0], 2
+                parsed[3] = start + (run[0] + 2 * run[1]) * tick
+                continue
+        parsed[2:] = [k, 0, 1, source, parsed[1], lane], math.nan, lane
+        entries.append(parsed[2])
+    if rows is None:
+        return events
+    if grid is not None:
+        return EventRuns.of(rows, start, tick)
+    events = EventRuns(start, tick)
+    events.extend(sort_events(rows))
     return events
 
 
 def _parse_tail(lineno: int, tail: str) -> Tuple[str, Payload]:
     """The source and payload of a row's four fields after the timestamp."""
-    source, kind, arg1, arg2 = tail.split(",")
+    source, kind, arg1, arg2 = tail.rstrip("\n").split(",")
     try:
         if kind == _KIND_PIR:
             payload: Payload = PirMotion()

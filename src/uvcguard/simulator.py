@@ -14,11 +14,17 @@ on recorded events, and safety_check() the exposure pass alone on recorded
 commands: the commands follow from the sensor events alone, and the audit
 from the commands.
 
-Sensor events travel as runs (``fusion.EventRuns``): rows of one payload
-from one source at a fixed period in ticks, held as a first tick, a period,
-a row count, a source and a payload, one run after another in row order.
-The sensing pass makes a still span's rows as runs, and a run continues
-across spans while its source repeats an equal payload at its period.
+Sensor events travel as runs per source (``fusion.EventRuns``): rows of
+one payload from one source and lane at a fixed period in ticks, held as a
+first tick, a period, a row count, a source, a payload and a lane. A run
+continues across ticks and spans while its source repeats an equal payload
+at its period, whatever other sources emit in between. The sensing pass
+adds a still span's rows as one run per source, and each advert's rows to
+their lanes' runs. Sense and decide interleave: the sensing pass yields
+the tick up to which its rows are final, after tick 0 and after each still
+span, and the decide pass takes the rows added so far and steps the ticks
+up to it. A run may grow after its first rows went in; the decide pass
+takes the rows it gained at the next such tick.
 
 Time advances to the next event where nothing can happen in between. The
 decide pass snapshots fusion and steps the controller only at tick 0,
@@ -33,15 +39,17 @@ waits and goes in through one ``ingest_runs`` call, with the waiting rows
 of the other runs, before the next tick that steps or the next row that
 goes in alone. Rows go in one at a time where that does not hold: with a
 zero hold or a hold no longer than the period, for anomalies and manual
-switch presses, and for rows off the tick grid. While nobody inside moves
+switch presses, and for rows off the tick grid. Those rows are merged with
+the first rows of the other runs in (timestamp, source, lane) order. While nobody inside moves
 and nobody moves before the next waypoint, every tick emits the same sensor
 payloads and draws nothing. Such a still span runs up to that waypoint, the
 next PIR false positive, the end of an open latch or, with RSSI noise, the
 next BLE advert, and no span starts on a tick into which someone inside
 moved or on which a false positive falls. Its ticks repeat the payloads
 that the sensor models made on its first tick, or on its first advert tick;
-the models run again on its last tick, so that every latch ends where
-stepping each tick leaves it. As it moves the occupants, the sensing pass
+with a sensor that latches (``hold_time`` > 0), the models run again on
+its last tick, so that every latch ends where stepping each tick leaves
+it. As it moves the occupants, the sensing pass
 records the run's track: each tick from which someone's entry clock
 changes. safety_check builds the same track by a walk over the kinematics
 alone. The exposure pass reads the entry clocks from the track. While no
@@ -58,10 +66,12 @@ Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
@@ -73,7 +83,7 @@ from .dosimetry import (DoseGrid, LampOnIntervals, accumulate_dose,
 from .fusion import (BleAdvert, EventRuns, FusionParams, OccupancyFusion,
                      OccupancySnapshot, Payload, PirMotion, SensorEvent,
                      TickTimes, UsPresence, distance_to_rssi, each_within,
-                     grid_tick, sort_events)
+                     first_tick, grid_tick)
 from .room import (ID_PATTERN, LampSpec, LampTier, Point3, RoomModel,
                    SensorKind, SensorSpec, angle_between_deg,
                    require_finite, validate as validate_room)
@@ -591,12 +601,9 @@ class _TickGrid:
         """The first tick k with time(k) >= t, or count if there is none."""
         if not t < self.time(self.count):
             return self.count
-        k = math.ceil(max(0.0, (t - self.start) / self.tick))
-        while k > 0 and self.time(k - 1) >= t:
-            k -= 1
-        while self.time(k) < t:
-            k += 1
-        return k
+        if not t > self.start:
+            return 0
+        return first_tick(self.start, self.tick, t)
 
 
 class _Control:
@@ -726,7 +733,7 @@ class _Sensing:
     latches (``hold_time`` > 0 keeps re-emitting) and the BLE advert clock.
     All randomness of a run comes from ``rng``, drawn in sorted-sensor order
     within each tick. ``tick`` is the only code that evaluates them: a still
-    span repeats what it made and runs it again on the span's last tick."""
+    span repeats what it made."""
 
     def __init__(self, scenario: Scenario, ticks: _TickGrid):
         self.ticks = ticks
@@ -740,6 +747,7 @@ class _Sensing:
             for s in self.sensors
             if s.kind is SensorKind.PIR} if self.fp_rate > 0.0 else {}
         self.latches: Dict[str, Tuple[float, Payload]] = {}   # until, payload
+        self.latching = any(s.hold_time > 0.0 for s in self.sensors)
         self.beacons = [(i, o.occupant_id) for i, o in enumerate(scenario.occupants)
                         if o.carries_beacon]
         # adverts matter only when someone carries a beacon
@@ -804,13 +812,15 @@ class _Sensing:
         return payloads
 
     def still_until(self, k: int, occupants: "_Occupants") -> int:
-        """The last tick of a still span from tick k, or k + 1 if tick k
-        starts none. The ticks in between make the payloads of tick k, or
-        of the span's first advert tick, and draw nothing: nobody moves
-        before the span ends, and no PIR false positive, end of an open
-        latch or (with RSSI noise) advert falls in it. No span starts on a
-        tick into which an inside occupant moved or on which a false
-        positive falls."""
+        """The end (exclusive) of a still span from tick k, or k + 1 if tick
+        k starts none. The span's ticks make the payloads of tick k, or of
+        its first advert tick, and draw nothing: nobody moves before the
+        span ends, and no PIR false positive, end of an open latch or (with
+        RSSI noise) advert falls in it. No span starts on a tick into which
+        an inside occupant moved or on which a false positive falls. With a
+        sensor that latches, the span ends a tick short of its stop, and the
+        models run again on that tick, so that every latch ends where
+        stepping each tick leaves it."""
         stop = occupants.parked_until()
         if stop <= k + 1 or any(
                 inside and prev is not None and prev != pos
@@ -827,88 +837,92 @@ class _Sensing:
         for end, _ in self.latches.values():
             if t < end:
                 stop = min(stop, ticks.first_at(end))
-        return max(stop - 1, k + 1)
+        return max(stop - 1 if self.latching else stop, k + 1)
 
 
 def _sense(scenario: Scenario, runs: EventRuns,
-           occupants: _Occupants) -> Iterator[list]:
-    """The sensing pass: moves ``occupants`` through the run, adds the
-    run's sensor events to ``runs``, on its tick grid, and yields its
-    entries in batches as they settle: after each tick that starts no still
-    span, and within a span after each advert, all but the last entry,
-    which later rows may still extend. It reads no controller state, and
-    simulate() pulls it to the end."""
+           occupants: _Occupants) -> Iterator[int]:
+    """The sensing pass: moves ``occupants`` through the run and adds the
+    run's sensor events to ``runs``, on its tick grid: a tick alone adds
+    its rows, and a still span adds each source's rows as one run over the
+    span and the rows of each advert in it. It yields the tick up to which
+    the rows are final, and rows after it may be there: after tick 0's
+    rows, after each span, and last the run's last tick. It reads no
+    controller state, and simulate() pulls it to the end."""
     ticks = occupants.ticks
     sensing = _Sensing(scenario, ticks)
-    entries = runs.entries
-    settled = 0
     k = 0
     while k < ticks.count:
-        # tick k runs the sensor models, and the later ticks of a still span
-        # repeat their payloads without an advert (repeats[False]) or with
-        # one (repeats[True]). The span's last tick runs them again, so that
-        # firing latches end where stepping every tick leaves them
         until = sensing.still_until(k, occupants)
-        repeats: List[Optional[List[Tuple[str, Payload]]]] = [None, None]
-        while k < until:
-            t = ticks.time(k)
-            advert = sensing.advert_due(t)
-            if until == k + 1:
-                # a tick alone: its rows stay alone
-                payloads = sensing.tick(t, occupants, advert)
-                if payloads:
-                    runs.extend([SensorEvent(t, source, payload)
-                                 for source, payload in payloads])
-                k = until
-            else:
-                payloads = repeats[advert]
-                if payloads is None:
-                    payloads = repeats[advert] = sensing.tick(t, occupants, advert)
-                # the ticks before the span's last tick or the next advert
-                # make what a tick without an advert made
-                end = k + 1 if advert else \
-                    min(until, ticks.first_at(sensing.next_advert - 1e-9))
-                if len(payloads) == 1:
-                    runs.add(k, 1, end - k, *payloads[0])
-                elif payloads:
-                    for j in range(k, end):
-                        for source, payload in payloads:
-                            runs.add(j, 1, 1, source, payload)
-                k = end
-            if len(entries) - 1 > settled:
-                yield entries[settled:-1]
-                settled = len(entries) - 1
+        t = ticks.time(k)
+        advert = sensing.advert_due(t)
+        payloads = sensing.tick(t, occupants, advert)
+        for source, payload in payloads:
+            runs.add(k, 1, 1 if payload.__class__ is BleAdvert else until - k,
+                     source, payload)
+        if k == 0:
+            yield 0
+        if until > k + 1:
+            # the span's advert ticks repeat the adverts of its first one
+            adverts = [(source, payload) for source, payload in payloads
+                       if payload.__class__ is BleAdvert] if advert else None
+            j = k
+            while True:
+                j = max(j + 1, ticks.first_at(sensing.next_advert - 1e-9))
+                if j >= until:
+                    break
+                sensing.next_advert += BLE_ADVERT_PERIOD
+                if adverts is None:
+                    adverts = [(source, payload) for source, payload in
+                               sensing.tick(ticks.time(j), occupants, True)
+                               if payload.__class__ is BleAdvert]
+                for source, payload in adverts:
+                    runs.add(j, 1, 1, source, payload)
+            yield until - 1
+        k = until
         occupants.move_to(k)
-    yield entries[settled:]
+    yield ticks.count - 1
 
 
-def _decide(scenario: Scenario, batches: Iterable[list]) -> List[LampCommand]:
-    """The decide pass over the entries of time-ordered ``EventRuns`` on the
-    scenario's tick grid, taken in batches.
-    Tick k steps once the rows up to its time are in; the ticks after it
-    before ``next_k`` only feed fusion, up to the first ingest that raises
-    ``ingested``.
+def _decide(scenario: Scenario, events: EventRuns,
+            checkpoints: Iterable[float]) -> List[LampCommand]:
+    """The decide pass over ``EventRuns`` on the scenario's tick grid. At
+    each checkpoint K, every row up to tick K has been added, and rows after
+    it may have been: it takes the entries and the rows the runs gained up
+    to tick K, in (timestamp, source, lane) order, and steps the ticks up to
+    K; a run's later rows may still wait to go in. Tick k steps once the
+    rows up to its time are in; the ticks after it before ``next_k`` only
+    feed fusion, up to the first ingest that raises ``ingested``.
 
-    Here a run is rows of one source at a fixed period whose payloads are
-    of one kind and hold the same window for the same ``hold``: fusion
-    takes each of its rows as it takes the first. A row that may open a
-    window goes in alone through ``ingest``, and its own tick steps if it
-    raises ``ingested``: the first row of a run, and each row of a run
-    whose rows are not ``each_within`` their hold. The later rows of a run
-    whose rows are wait, and go in through one ``ingest_runs`` call, as
-    rows of its latest payload, before the next tick that steps or the next
-    row that goes in alone."""
+    Here a run is rows of one source and lane at a fixed period whose
+    payloads are of one kind and hold the same window for the same
+    ``hold``: fusion takes each of its rows as it takes the first. A row
+    that may open a window goes in alone through ``ingest``, and its own
+    tick steps if it raises ``ingested``: the first row of a run, and each
+    row of a run whose rows are not ``each_within`` their hold. The later
+    rows of a run whose rows are wait, and go in through one ``ingest_runs``
+    call, as rows of its latest payload, before the next tick that steps or
+    the next row that goes in alone."""
     ticks = _TickGrid(scenario)
     control = _Control(scenario, ticks)
     fusion = control.fusion
     hold_of = fusion.hold
     start, tick, count = ticks.start, ticks.tick, ticks.count
-    # the latest run of each source, [source, latest payload, period, fed,
-    # last, hold, time of the next row, end of the last row's hold]: its rows up
-    # to tick ``fed`` are in, and those after it up to ``last`` wait, each
+    entries = events.entries
+    # the latest run of each (source, lane), [source, latest payload, period,
+    # fed, last, hold, end of the last row's hold, lane]: its rows up to
+    # tick ``fed`` are in, and those after it up to ``last`` wait, each
     # within the hold of the one before. A period of 0 is not known yet
-    runs: Dict[str, list] = {}
-    waiting: List[list] = []
+    runs: Dict[Tuple[str, int], list] = {}
+    waiting: List[list] = []        # in (source, lane) order
+    # rows of entries yet to take, in order: (timestamp, source, lane, seq,
+    # first tick, last tick, period, payload), the rows at ticks first,
+    # first + period, ... up to last
+    pending: List[tuple] = []
+    order = itertools.count()
+    # the last entry taken of each (source, lane), which may still gain
+    # rows, and the tick of the last row taken of it
+    growing: Dict[Tuple[str, int], list] = {}
 
     def feed(upto_k: int, bound: float) -> None:
         """Feed fusion the waiting rows at ticks up to ``upto_k`` and at
@@ -943,77 +957,99 @@ def _decide(scenario: Scenario, batches: Iterable[list]) -> List[LampCommand]:
             k = max(k + 1, control.next_k)
             t = ticks.time(k)
 
-    commands: List[LampCommand] = []
-    k, t = 0, ticks.time(0)         # the next tick to step, and its time
-    for entry in itertools.chain.from_iterable(batches):
-        if entry.__class__ is SensorEvent:
-            ts, source, payload = entry.timestamp, entry.source, entry.payload
-            if ts > t and k < count:
-                step_to(ts)
-            run = runs.get(source)
-            if run is not None and ts == run[6] and ts < run[7] and (
-                    run[1] is payload or run[1].__class__ is payload.__class__
-                    and hold_of(source, payload) == run[5]):
-                # the next row of the run, within the hold of the one before
+    def take(ts: float, source: str, lane: int, row: Optional[int],
+             last: int, period: int, payload: Payload,
+             event: Optional[SensorEvent]) -> None:
+        """Take the rows of one entry at ticks row, row + period, ... up to
+        last, or ``event``, a row off the grid (``row`` None)."""
+        nonlocal k, t
+        if ts > t and k < count:
+            step_to(ts)
+        key = (source, lane)
+        run = runs.get(key)
+        if run is not None and row is not None and row > run[4] and (
+                run[1] is payload or run[1].__class__ is payload.__class__
+                and hold_of(source, payload) == run[5]):
+            gap = row - run[4]
+            if run[2] in (0, gap) and ts < run[6] and (
+                    row == last or period == gap and each_within(
+                        TickTimes(start, tick, range(row, last + 1, gap)),
+                        run[5])):
+                # the rows continue the run
                 if run[3] == run[4]:
                     waiting.append(run)
-                run[1] = payload
-                run[4] += run[2]
-                run[6] = start + (run[4] + run[2]) * tick
-                run[7] = ts + run[5]
-                continue
-            # a lone row; off the grid it starts no run
-            row = last = grid_tick(start, tick, ts)
-            period = 0
-        else:
-            row, period, n, source, payload = entry
-            last = row + (n - 1) * period
-            ts = start + row * tick
-        while True:
-            if ts > t and k < count:
-                step_to(ts)
-            run = runs.get(source)
-            if run is not None and row is not None and row > run[4] and (
-                    run[1] is payload or run[1].__class__ is payload.__class__
-                    and hold_of(source, payload) == run[5]):
-                gap = row - run[4]
-                if run[2] in (0, gap) and ts < run[7] and (
-                        row == last or period == gap and each_within(
-                            TickTimes(start, tick, range(row, last + 1, gap)),
-                            run[5])):
-                    # the rest of the entry continues the run
-                    if run[3] == run[4]:
-                        waiting.append(run)
-                    run[1], run[2], run[4] = payload, gap, last
-                    run[6] = start + (last + gap) * tick
-                    run[7] = start + last * tick + run[5]
-                    break
-            # this row goes in alone, after the waiting rows before it
-            if waiting:
-                upto_k = row
-                if row is None:
-                    upto_k = ticks.first_at(ts)
-                    if ticks.time(upto_k) > ts:
-                        upto_k -= 1
-                feed(upto_k, ts)
-            fusion.ingest(entry if period == 0 else SensorEvent(ts, source, payload))
-            if fusion.ingested:
-                # the ingest that raised it makes its own tick the next to step
-                k = ticks.first_at(ts)
-                t = ticks.time(k)
+                    waiting.sort(key=itemgetter(0, 7))
+                run[1], run[2], run[4] = payload, gap, last
+                run[6] = start + last * tick + run[5]
+                return
+        # this row goes in alone, after the waiting rows before it
+        if waiting:
+            upto_k = row
             if row is None:
-                break
-            hold = hold_of(source, payload)
-            if hold is None:
-                runs.pop(source, None)
-            else:
-                runs[source] = [source, payload, 0, row, row, hold, math.nan,
-                                ts + hold]
-            if row == last:
-                break
+                upto_k = ticks.first_at(ts)
+                if ticks.time(upto_k) > ts:
+                    upto_k -= 1
+            feed(upto_k, ts)
+        fusion.ingest(event or SensorEvent(ts, source, payload))
+        if fusion.ingested:
+            # the ingest that raised it makes its own tick the next to step
+            k = ticks.first_at(ts)
+            t = ticks.time(k)
+        if row is None:
+            return
+        hold = hold_of(source, payload)
+        if hold is None:
+            runs.pop(key, None)
+        else:
+            runs[key] = [source, payload, 0, row, row, hold, ts + hold, lane]
+        if row < last:
             row += period
-            ts = start + row * tick
-    step_to(math.inf)
+            heapq.heappush(pending, (start + row * tick, source, lane,
+                                     next(order), row, last, period, payload))
+
+    def take_pending(before: tuple) -> None:
+        """Take the pending rows that come before ``before``."""
+        while pending and pending[0] < before:
+            ts, source, lane, _, row, last, period, payload = \
+                heapq.heappop(pending)
+            take(ts, source, lane, row, last, period, payload, None)
+
+    commands: List[LampCommand] = []
+    k, t = 0, ticks.time(0)         # the next tick to step, and its time
+    taken = 0                       # entries taken
+    for checkpoint in checkpoints:
+        bound = ticks.time(checkpoint + 1)      # rows before it are final
+        # the rows that the runs which may grow gained since the last one
+        for grown in growing.values():
+            entry, row = grown
+            last = entry[0] + (entry[2] - 1) * entry[1]
+            if last > row:
+                row += entry[1]
+                heapq.heappush(pending, (start + row * tick, entry[3],
+                                         entry[5], next(order), row, last,
+                                         entry[1], entry[4]))
+                grown[1] = last
+        while taken < len(entries):
+            entry = entries[taken]
+            if entry.__class__ is SensorEvent:
+                ts, source, lane = entry.timestamp, entry.source, 0
+            else:
+                ts, source, lane = start + entry[0] * tick, entry[3], entry[5]
+            if ts >= bound:
+                break
+            taken += 1
+            if pending and pending[0][0] <= ts:
+                take_pending((ts, source, lane))
+            if entry.__class__ is SensorEvent:
+                row = grid_tick(start, tick, ts)
+                take(ts, source, 0, row, row, 0, entry.payload, entry)
+            else:
+                row, period, n, _, payload, _ = entry
+                last = row + (n - 1) * period
+                growing[source, lane] = [entry, last]
+                take(ts, source, lane, row, last, period, payload, None)
+        take_pending((bound,))
+        step_to(bound)
     return commands
 
 
@@ -1029,7 +1065,8 @@ def simulate(scenario: Scenario) -> SimulationResult:
                         probe_names=tuple(name for name, _ in _probe_points(room)))
     events = timeline.events = EventRuns(ticks.start, ticks.tick)
     track = _Occupants(scenario, ticks, track=True)
-    timeline.commands = _decide(scenario, _sense(scenario, events, track))
+    timeline.commands = _decide(scenario, events,
+                                _sense(scenario, events, track))
     timeline.probe_samples, spans, safety = _expose(scenario, timeline.commands,
                                                     track.clocks)
     timeline.lamp_intervals = {
@@ -1047,13 +1084,12 @@ def simulate(scenario: Scenario) -> SimulationResult:
 def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampCommand]:
     """Lamp commands re-derived from a run's sensor events alone: simulate()'s
     own decide pass over the events in time order, so a run's own event log
-    reproduces its command log exactly. Events that are not ``EventRuns`` in
-    time order on the scenario's grid are sorted and joined into runs."""
+    reproduces its command log exactly. Events that are not ``EventRuns`` on
+    the scenario's grid are sorted and joined into runs."""
     if not (isinstance(events, EventRuns) and events.start == scenario.start_time
-            and events.tick == scenario.tick and events.in_order()):
-        events = EventRuns.of(sort_events(events), scenario.start_time,
-                              scenario.tick)
-    return _decide(scenario, (events.entries,))
+            and events.tick == scenario.tick):
+        events = EventRuns.of(events, scenario.start_time, scenario.tick)
+    return _decide(scenario, events, (math.inf,))
 
 
 # ---------------------------------------------------------------------------

@@ -439,17 +439,39 @@ def test_event_runs_read_as_their_rows():
     runs.add(5, 1, 1, "pir_1", PirMotion())
     runs.add(7, 1, 1, "pir_1", PirMotion())               # a period of 2
     runs.extend([SensorEvent(13.9, "pir_1", PirMotion())])  # off the grid
-    runs.add(9, 1, 1, "pir_1", PirMotion())
+    runs.add(9, 1, 1, "pir_1", PirMotion())               # continues its run
     rows = [ev(10.0 + 0.5 * k, "us_desk_2", UsPresence(1.2)) for k in range(4)] + [
         ev(12.5, "pir_1", PirMotion()), ev(13.5, "pir_1", PirMotion()),
         ev(13.9, "pir_1", PirMotion()), ev(14.5, "pir_1", PirMotion())]
     assert len(runs) == len(rows) == 8
     assert [e if e.__class__ is SensorEvent else e[:3] for e in runs.entries] == [
-        [0, 1, 4], [5, 2, 2], rows[6], rows[7]]
+        [0, 1, 4], [5, 2, 3], rows[6]]
     assert runs == rows and list(runs) == rows and runs[5] == rows[5]
-    assert runs.in_order()
-    assert not EventRuns.of(rows[::-1], 10.0, 0.5).in_order()
+    assert EventRuns.of(rows[::-1], 10.0, 0.5) == rows
     assert EventRuns.of(rows, 10.0, 0.5) == runs
+
+
+def test_event_runs_hold_a_run_per_lane_and_read_in_sort_order():
+    # two beacons heard by one receiver on each tick: two lanes, each a run
+    lanes = EventRuns(0.0, 1.0)
+    for k in range(3):
+        lanes.add(k, 1, 1, "ble_door", BleAdvert("b", -70.0))
+        lanes.add(k, 1, 1, "ble_door", BleAdvert("a", -60.0))
+        lanes.add(k, 1, 1, "us_desk_2", UsPresence(1.2))
+    assert [e[:3] + e[5:] for e in lanes.entries] == [
+        [0, 1, 3, 0], [0, 1, 3, 1], [0, 1, 3, 0]]
+    assert [(e.timestamp, e.source, getattr(e.payload, "beacon_id", ""))
+            for e in lanes] == [(float(k), *row) for k in range(3) for row in (
+                ("ble_door", "b"), ("ble_door", "a"), ("us_desk_2", ""))]
+    # rows added before the last entry's first row: the entries sort again
+    late = EventRuns(0.0, 1.0)
+    late.extend([ev(5.0, "pir_1", PirMotion()), ev(6.0, "pir_1", PirMotion())])
+    late.add(2, 2, 3, "pir_2", PirMotion())
+    late.extend([ev(4.5, "us_desk_2", UsPresence(1.2))])
+    assert list(late) == sort_events([
+        ev(5.0, "pir_1", PirMotion()), ev(6.0, "pir_1", PirMotion()),
+        *(ev(t, "pir_2", PirMotion()) for t in (2.0, 4.0, 6.0)),
+        ev(4.5, "us_desk_2", UsPresence(1.2))])
 
 
 # ---------------------------------------------------------------------------

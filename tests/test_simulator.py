@@ -14,6 +14,8 @@ from pathlib import Path
 from typing import Dict, List
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import uvcguard
 from uvcguard import simulator
@@ -22,9 +24,10 @@ from uvcguard.controller import (CyclePolicy, read_command_log,
 from uvcguard.dosimetry import DoseGrid, accumulate_dose, irradiance_at_point
 from uvcguard.cli import EXIT_OK, main
 from uvcguard.fusion import (EVENT_LOG_HEADER, BleAdvert, EventRuns,
-                             FusionParams, OccupancyFusion, SensorEvent,
-                             distance_to_rssi, event_to_row, read_event_log,
-                             write_event_log)
+                             FusionParams, ManualOff, ManualRearm,
+                             OccupancyFusion, PirMotion, SensorEvent,
+                             UsPresence, distance_to_rssi, event_to_row,
+                             read_event_log, sort_events, write_event_log)
 from uvcguard.room import LampTier, Point3, SensorKind, default_room
 from uvcguard.scenarios import (MIDNIGHT_START, midnight_scenario,
                                 random_walk_scenario, reference_scenarios,
@@ -740,6 +743,12 @@ NEXT_EVENT_RUNS = {
     "held_leaver": lambda: make_scenario([OccupantScript("leaver", False, (
         wp(0.0, 2.15, 5.0), wp(199.95, 2.15, 5.0),
         wp(200.0, 2.15, 2.8), wp(400.0, 2.15, 2.8)))], room=_HELD_ROOM),
+    # two seated beacon carriers: two lanes of ble_door run through the
+    # still spans, which the first carrier's nudges cut
+    "two_seated_carriers": lambda: dataclasses.replace(
+        reference_scenarios()["B"], duration=1500.0,
+        occupants=reference_scenarios()["B"].occupants + (
+            seated("carrier_2", x=1.0, y=1.5, until=1500.0, beacon=True),)),
     # a local midnight falls inside a still span with adverts folded in
     "midnight_sitter": lambda: dataclasses.replace(
         reference_scenarios()["B"], duration=4800.0,
@@ -854,6 +863,76 @@ def test_decide_holds_back_only_rows_within_the_hold(monkeypatch):
     monkeypatch.undo()
     _rows_one_at_a_time(monkeypatch)
     assert simulate(scenario).timeline.commands == commands
+
+
+_ROW_PAYLOADS = [
+    ("pir_1", PirMotion()),
+    ("pir_2", PirMotion()),
+    ("us_desk_2", UsPresence(1.2)),
+    ("us_desk_2", UsPresence(0.0)),
+    ("us_desk_2", UsPresence(-0.0)),                  # equal, written apart
+    ("ble_door", BleAdvert("a", distance_to_rssi(3.0, FusionParams()))),
+    ("ble_door", BleAdvert("b", distance_to_rssi(2.0, FusionParams()))),
+    ("ble_door", BleAdvert("b", -0.0)),
+    ("ble_door", BleAdvert("a", 5.0)),                # outside its band
+    ("kill_switch", ManualOff()),
+    ("kill_switch", ManualRearm()),
+]
+# (first tick, period in ticks, rows, payload, off the grid)
+_row_bursts = st.lists(st.tuples(st.integers(0, 200), st.integers(1, 15),
+                                 st.integers(1, 25),
+                                 st.sampled_from(range(len(_ROW_PAYLOADS))),
+                                 st.booleans()),
+                       min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_bursts, st.sampled_from([0.1, 0.5, 1.0]), st.randoms())
+# two beacons on one receiver on the same ticks, and a signed zero
+@example([(3, 10, 20, 5, False), (3, 10, 20, 6, False), (13, 10, 5, 7, False),
+          (0, 1, 25, 3, False), (25, 1, 5, 4, False)], 0.1, random.Random(0))
+def test_any_rows_read_as_sorted_rows_and_replay_as_rows(bursts, tick, rnd):
+    scenario = dataclasses.replace(make_scenario([], duration=500.0 * tick),
+                                   tick=tick)
+    start = scenario.start_time
+    rows = [SensorEvent(start + k * tick + (tick / 3.0 if off else 0.0),
+                        *_ROW_PAYLOADS[index])
+            for first, period, count, index, off in bursts
+            for k in range(first, first + period * count, period)]
+    rnd.shuffle(rows)
+    ordered = sort_events(rows)
+    runs = EventRuns.of(rows, start, tick)
+    assert list(map(repr, runs)) == list(map(repr, ordered))
+    # the log of the sorted rows reads back on the grid into runs that
+    # write the same bytes, as do the runs built from the shuffled rows
+    text = io.StringIO()
+    write_event_log(ordered, text)
+    for held in (read_event_log(io.StringIO(text.getvalue()),
+                                grid=(start, tick)), runs):
+        again = io.StringIO()
+        write_event_log(held, again)
+        assert again.getvalue() == text.getvalue()
+    by_run = replay(scenario, runs)
+    with pytest.MonkeyPatch.context() as patch:
+        _rows_one_at_a_time(patch)
+        assert replay(scenario, rows) == by_run
+
+
+def test_each_lane_of_a_receiver_waits_in_its_own_run(monkeypatch):
+    # ble_door hears two seated carriers on every advert tick, two lanes.
+    # With holds longer than the periods, only first rows of runs go in
+    # alone: each lane's later adverts wait in that lane's run, also while
+    # the other lane's payloads change
+    alone: List[SensorEvent] = []
+    ingest = OccupancyFusion.ingest
+    monkeypatch.setattr(OccupancyFusion, "ingest",
+                        lambda self, event: (alone.append(event),
+                                             ingest(self, event))[1])
+    events = simulate(NEXT_EVENT_RUNS["two_seated_carriers"]()).timeline.events
+    heads = [SensorEvent(events.start + k * events.tick, source, payload)
+             for k, _, _, source, payload, _ in events.entries]
+    assert [e.source for e in alone].count("ble_door") == 2
+    assert all(event in heads for event in alone)
 
 
 def test_an_edited_event_log_replays_its_runs_as_rows(tmp_path, monkeypatch):
