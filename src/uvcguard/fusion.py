@@ -102,8 +102,40 @@ def sort_events(events: Sequence[SensorEvent]) -> List[SensorEvent]:
 # runs
 # ---------------------------------------------------------------------------
 
+# the text of a tick time after its leading digits v // 100, by v % 100: v
+# counts tenths of a second ("d.d") or whole seconds ("dd.0")
+_TENTHS_ENDINGS = tuple(f"{r // 10}.{r % 10}" for r in range(100))
+_WHOLE_ENDINGS = tuple(f"{r:02d}.0" for r in range(100))
+
+
+def _digit_texts(first: int, step: int, n: int,
+                 endings: Tuple[str, ...]) -> List[str]:
+    """``str(v // 100) + endings[v % 100]`` for the n values v = first,
+    first + step, ..., all at least 100: a prefix per hundred, and only the
+    endings the step reaches. Each hundred is joined into lines and the
+    lines split once, so that no text is built one at a time."""
+    hundreds: List[str] = []
+    v, left = first, n
+    while left > 0:
+        q, r = divmod(v, 100)
+        tail = endings[r::step][:left]
+        prefix = str(q)
+        hundreds.append(prefix + ("\n" + prefix).join(tail))
+        left -= len(tail)
+        v += len(tail) * step
+    return "\n".join(hundreds).split("\n") if hundreds else []
+
+
 class TickTimes:
-    """The timestamps ``start + k * tick`` of the ticks k in ``ks``."""
+    """The timestamps ``start + k * tick`` of the ticks k in ``ks``.
+
+    ``texts`` gives their ``repr`` texts, built from decimal digits where it
+    can. From a whole start at a 1 s tick the times are exact integers below
+    2**53, so each text is the integer and ".0". On a grid of whole tenths
+    in [10 s, 2**48 s) an ulp is under 0.1 s, so a one-fraction-digit decimal
+    that parses back to the time is its shortest round-trip text, which
+    ``repr`` prints (Steele & White, PLDI 1990): each text m / 10 is kept if
+    ``m / 10``, correctly rounded as the parse is, equals the time."""
 
     __slots__ = ("start", "tick", "ks")
 
@@ -122,6 +154,29 @@ class TickTimes:
         start, tick = self.start, self.tick
         for k in self.ks:
             yield start + k * tick
+
+    def texts(self) -> List[str]:
+        """``[repr(t) for t in self]``."""
+        start, tick, ks = self.start, self.tick, self.ks
+        if not (ks and ks.step > 0 and tick > 0.0):
+            return [repr(t) for t in self]
+        lo, hi = self[0], self[-1]
+        if tick == 1.0 and 100.0 <= lo and hi < 2.0 ** 53 and ks.start >= 0 \
+                and 0.0 <= start and start % 1.0 == 0.0:
+            return _digit_texts(int(start) + ks.start, ks.step, len(ks),
+                                _WHOLE_ENDINGS)
+        if not (10.0 <= lo and hi < 2.0 ** 48):
+            return [repr(t) for t in self]
+        step, m0 = round(tick * 10.0), round(start * 10.0)
+        if not (step / 10 == tick and m0 / 10 == start):
+            return [repr(t) for t in self]
+        ms = range(m0 + ks.start * step, m0 + ks.stop * step, ks.step * step)
+        texts = _digit_texts(ms.start, ms.step, len(ms), _TENTHS_ENDINGS)
+        times = [start + k * tick for k in ks]
+        if [m / 10 for m in ms] != times:
+            texts = [text if m / 10 == t else repr(t)
+                     for text, m, t in zip(texts, ms, times)]
+        return texts
 
 
 def grid_tick(start: float, tick: float, ts: float) -> Optional[int]:
@@ -708,7 +763,7 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
     run do, share one formatted tail. ``EventRuns`` are written in their
     order window by window, with no event built: each run's rows from its
     ticks, and where the rows fill a window's ticks, one timestamp text per
-    tick."""
+    tick; ``TickTimes.texts`` formats the tick times."""
     stream.write(EVENT_LOG_HEADER + "\n")
     # (source, payload id) -> (payload, tail). An entry holds its payload,
     # so no other object can take that id while the entry lives.
@@ -739,7 +794,7 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
         # joins in one call; one timestamp text per tick, shared by the rows
         # on it, when the window's rows fill its ticks
         if len(ticks) <= sum(len(ks) for _, ks, _, _ in placed):
-            stamps = [repr(start + k * tick) for k in ticks]
+            stamps = TickTimes(start, tick, ticks).texts()
         else:
             stamps = None
         slots = [""] * (2 * len(ticks) * len(placed))
@@ -753,7 +808,7 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
             if text is None:
                 text = texts[id(entry)] = tail(entry[3], entry[4])
             slots[first:stop:step] = stamps[at] if stamps is not None else \
-                [repr(start + k * tick) for k in ks]
+                TickTimes(start, tick, ks).texts()
             slots[first + 1:stop + 1:step] = [text] * len(ks)
         stream.write("".join(slots))
 

@@ -7,12 +7,13 @@ through fusion and steps the controller: it writes the command log. The
 exposure pass turns the command log and any ``unsafe_force_on`` windows
 into the lamps lit over each tick, the probe irradiance, the lamp
 on-intervals (and from them the floor dose grid) and the occupant exposure
-audit. All randomness comes from one seeded generator drawn in a fixed
-order, so a scenario run twice with the same seed produces identical output
-byte for byte. simulate() runs all three; replay() is the decide pass alone
-on recorded events, and safety_check() the exposure pass alone on recorded
-commands: the commands follow from the sensor events alone, and the audit
-from the commands.
+audit. It records the probe values as runs (``ProbeRuns``): a run starts
+on each tick on which the lamps lit change. All randomness comes from one
+seeded generator drawn in a fixed order, so a scenario run twice with the
+same seed produces identical output byte for byte. simulate() runs all
+three; replay() is the decide pass alone on recorded events, and
+safety_check() the exposure pass alone on recorded commands: the commands
+follow from the sensor events alone, and the audit from the commands.
 
 Sensor events travel as runs per source (``fusion.EventRuns``): rows of
 one payload from one source and lane at a fixed period in ticks, held as a
@@ -66,6 +67,7 @@ Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -93,7 +95,7 @@ BLE_ADVERT_PERIOD = 1.0        # s between beacon advertisements
 CHEST_HEIGHT = 1.1             # m; exposure accounting plane
 PROBE_HEIGHT = 0.7             # m; desk-level virtual radiometers
 MAX_RECORDED_VIOLATIONS = 10000
-MAX_TICKS = 2_000_000          # 16 MB of probe rows, 8 bytes a tick
+MAX_TICKS = 2_000_000          # bounds the per-tick audit and probes.csv
 PIR_MOTION = PirMotion()       # the one payload of every PIR trigger
 
 
@@ -333,12 +335,61 @@ def ble_model(receiver: SensorSpec, beacon_pos: Point3, params: FusionParams,
 # results
 # ---------------------------------------------------------------------------
 
+class ProbeRuns:
+    """Probe values per tick, held as runs: a run is a first tick and the
+    values tuple of the ticks from it up to the next run's first tick, or
+    up to ``count``. It reads as a sequence of ``count`` ticks: ``len``
+    counts ticks, ``[k]`` finds tick k's run by bisection, and iteration
+    repeats each run's tuple over its ticks."""
+
+    __slots__ = ("firsts", "values", "count")
+
+    def __init__(self, count: int = 0):
+        self.firsts: List[int] = []
+        self.values: List[Tuple[float, ...]] = []
+        self.count = count
+
+    def switch(self, k: int, values: Tuple[float, ...]) -> None:
+        """The ticks from k on hold ``values``; k is no earlier than the
+        last run's first tick."""
+        if self.firsts and self.firsts[-1] == k:
+            self.values[-1] = values
+        else:
+            self.firsts.append(k)
+            self.values.append(values)
+
+    def runs(self) -> Iterator[Tuple[int, int, Tuple[float, ...]]]:
+        """(first tick, end tick, values) of each run, in tick order."""
+        return zip(self.firsts, self.firsts[1:] + [self.count], self.values)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, k: int) -> Tuple[float, ...]:
+        if k < 0:
+            k += self.count
+        if not 0 <= k < self.count:
+            raise IndexError("probe sample index out of range")
+        return self.values[bisect.bisect_right(self.firsts, k) - 1]
+
+    def __iter__(self) -> Iterator[Tuple[float, ...]]:
+        for first, end, values in self.runs():
+            yield from itertools.repeat(values, end - first)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (ProbeRuns, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+
 @dataclass
 class Timeline:
     """Chronological record of everything a run produced. Tick k starts at
     ``start_time + k * tick``; ``probe_samples[k]`` holds its probe values,
-    one tuple object shared by each run of ticks with unchanged lamps.
-    ``simulate`` holds the sensor events as ``EventRuns`` on that grid."""
+    which ``simulate`` holds as ``ProbeRuns``, one run from each tick on
+    which the lamps lit change. ``simulate`` holds the sensor events as
+    ``EventRuns`` on that grid."""
 
     scenario_name: str
     start_time: float
@@ -347,7 +398,7 @@ class Timeline:
     probe_names: Tuple[str, ...]
     events: Sequence[SensorEvent] = field(default_factory=list)
     commands: List[LampCommand] = field(default_factory=list)
-    probe_samples: List[Tuple[float, ...]] = field(default_factory=list)
+    probe_samples: ProbeRuns = field(default_factory=ProbeRuns)
     lamp_intervals: LampOnIntervals = field(default_factory=dict)
 
 
@@ -1155,20 +1206,20 @@ class _LampState:
 
 def _expose(scenario: Scenario, commands: Sequence[LampCommand],
             clocks: Iterable[Tuple[int, int, Optional[float]]]) -> Tuple[
-        List[Tuple[float, ...]], Dict[str, List[Tuple[int, int]]], SafetyReport]:
+        ProbeRuns, Dict[str, List[Tuple[int, int]]], SafetyReport]:
     """The lamps a command log lights, stepped along the tick grid: each
-    tick's probe values (ticks with unchanged lamps share one tuple), the
-    on-intervals as tick-index pairs, and the audit of each tick's movement
-    segment against the lamps lit over it, with the entry clocks of the
-    run's track. A command acts from the first tick at or after its
-    timestamp, in log order."""
+    tick's probe values (a run from each tick on which the lamps lit
+    change), the on-intervals as tick-index pairs, and the audit of each
+    tick's movement segment against the lamps lit over it, with the entry
+    clocks of the run's track. A command acts from the first tick at or
+    after its timestamp, in log order."""
     ticks = _TickGrid(scenario)
     lamps = _LampState(scenario, ticks)
     occupants = _Occupants(scenario, ticks)
     audit = _SafetyAccumulator(scenario, occupants.ids)
     probe_positions = [p for _, p in _probe_points(scenario.room)]
-    values: Tuple[float, ...] = tuple(0.0 for _ in probe_positions)
-    samples: List[Tuple[float, ...]] = []
+    samples = ProbeRuns(ticks.count)
+    samples.switch(0, tuple(0.0 for _ in probe_positions))
     entered: List[Optional[float]] = [None] * len(occupants.ids)
     changes = iter(clocks)
     change = next(changes, None)
@@ -1196,14 +1247,12 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand],
             ci += 1
         if lamps.settle(k, t):
             on_lamps = list(lamps.on.values())
-            values = tuple(irradiance_at_point(on_lamps, p) if on_lamps else 0.0
-                           for p in probe_positions)
+            samples.switch(k, tuple(irradiance_at_point(on_lamps, p) if on_lamps
+                                    else 0.0 for p in probe_positions))
         if not audit.acts_on(lamps.on):
             # nothing lit that the audit acts on: whoever moves, it can
             # record nothing, and the track keeps the entry clocks
-            stop = next_switch()
-            samples.extend(itertools.repeat(values, stop - k))
-            k = stop
+            k = next_switch()
             continue
 
         # -- cross ticks on which nobody moves and no lamp switches ----------
@@ -1215,10 +1264,8 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand],
         if stop > k + 1 and audit.still(t, clocks_at(k), occupants.positions,
                                         occupants.insides, lamps.on, stop - 1 - k):
             # tick stop-1 audits the move into tick stop
-            samples.extend(itertools.repeat(values, stop - 1 - k))
             k = stop - 1
             t = ticks.time(k)
-        samples.append(values)
 
         clocks_at(k)
         pos_a, in_a = occupants.positions, occupants.insides
@@ -1244,19 +1291,29 @@ def safety_check(timeline: Timeline, scenario: Scenario) -> SafetyReport:
 # timeline serialization
 # ---------------------------------------------------------------------------
 
+# rows of probes.csv formatted and written at once: a block's texts are all
+# the text the writer holds, a few hundred KB at most, whatever the run's
+# length; the process's peak memory counts every block held
+_PROBE_BLOCK = 1024
+
+
 def write_probe_log(timeline: Timeline, stream) -> None:
     """Probe irradiance per tick as CSV, one column per probe, full float
-    precision so identical runs serialize byte for byte. Ticks that share
-    one values tuple share its formatted text."""
+    precision so identical runs serialize byte for byte: the ``repr`` of
+    each tick's time, as ``TickTimes.texts`` gives it, and of its values.
+    Each run of ``ProbeRuns`` formats its values once and writes its ticks
+    in blocks of up to ``_PROBE_BLOCK`` rows."""
     header = "timestamp_s," + ",".join(f"{name}_w_m2"
                                        for name in timeline.probe_names)
     stream.write(header + "\n")
     start, tick = timeline.start_time, timeline.tick
-    formatted: Optional[Tuple[float, ...]] = None
-    for k, values in enumerate(timeline.probe_samples):
-        if values is not formatted:
-            formatted, text = values, "," + ",".join(map(repr, values)) + "\n"
-        stream.write(repr(start + k * tick) + text)
+    for first, end, values in timeline.probe_samples.runs():
+        text = "," + ",".join(map(repr, values)) + "\n"
+        for a in range(first, end, _PROBE_BLOCK):
+            stamps = TickTimes(start, tick,
+                               range(a, min(a + _PROBE_BLOCK, end))).texts()
+            stamps.append("")           # the last row's text ends the block
+            stream.write(text.join(stamps))
 
 
 DOSE_GRID_HEADER = "row,col,x_m,y_m,dose_j_m2"

@@ -432,6 +432,37 @@ def test_a_run_holds_open_while_each_row_is_within_the_hold_before_it():
     assert not holds((0.0, 0.1), "kill_switch", ManualOff())
 
 
+_TEXT_STARTS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 10.0, exclude_max=True),
+    st.integers(0, 2 ** 48).map(float),                         # whole
+    st.integers(0, 2 ** 48 * 10).map(lambda m: m / 10),         # whole tenths
+    st.floats(10.0, 2.0 ** 48),                                 # off tenths
+    st.floats(2.0 ** 48 - 1e4, 2.0 ** 48 + 1e4),
+    st.floats(-2.0 ** 48, 0.0),
+)
+_TEXT_TICKS = st.one_of(st.sampled_from([0.1, 0.2, 0.25, 0.5, 1.0]),
+                        st.floats(0.0, 1.0, exclude_min=True))
+_TEXT_KS = st.one_of(
+    st.builds(lambda first, step, n: range(first, first + n * step, step),
+              st.integers(0, 10 ** 7), st.integers(1, 15), st.integers(1, 300)),
+    st.just(range(0)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TEXT_STARTS, _TEXT_TICKS, _TEXT_KS)
+# a tenths grid on which some sums round away from the decimal's float
+@example(25576867259.2, 0.1, range(751984, 752084, 1))
+# whole seconds, and whole seconds whose leading digits change mid-range
+@example(1614589200.0, 1.0, range(0, 300, 7))
+@example(9900.0, 1.0, range(0, 300, 1))
+# tenths just under and at 10 s
+@example(9.5, 0.1, range(0, 20, 1))
+def test_tick_time_texts_are_the_repr_of_each_time(start, tick, ks):
+    times = TickTimes(start, tick, ks)
+    assert times.texts() == [repr(start + k * tick) for k in ks]
+
+
 def test_event_runs_read_as_their_rows():
     runs = EventRuns(10.0, 0.5)
     runs.add(0, 1, 3, "us_desk_2", UsPresence(1.2))

@@ -439,6 +439,58 @@ def test_probe_samples_match_lamp_intervals():
             assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
+PROBE_LOG_RUNS = {
+    # tick times on a grid of tenths, in whole seconds, and neither (a
+    # quarter-second tick from 5 s): each path of ``TickTimes.texts``
+    "A_1200": lambda: dataclasses.replace(reference_scenarios()["A"],
+                                          duration=1200.0),
+    "midnight_3h": lambda: dataclasses.replace(midnight_scenario(),
+                                               duration=3 * 3600.0),
+    "quarter_ticks_from_5s": lambda: dataclasses.replace(
+        make_scenario([walker()]), start_time=5.0, tick=0.25),
+    "forced": lambda: make_scenario(
+        [walker()], unsafe_force_on={"ceiling_2": ((30.0, 45.0),)}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PROBE_LOG_RUNS))
+def test_the_probe_log_writes_one_row_per_tick(run):
+    timeline = simulate(PROBE_LOG_RUNS[run]()).timeline
+    samples = timeline.probe_samples
+    rows = list(samples)
+    assert len(samples) == len(rows) == round(
+        (timeline.end_time - timeline.start_time) / timeline.tick)
+    assert all(samples[k] is values for k, values in enumerate(rows))
+    assert samples == rows
+    assert samples[-1] is rows[-1] and samples[-len(rows)] is rows[0]
+    for k in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            samples[k]
+    assert len(list(samples.runs())) > 2       # the lamps switched
+    log = io.StringIO()
+    write_probe_log(timeline, log)
+    start, tick = timeline.start_time, timeline.tick
+    assert_same("probes.csv", log.getvalue(), "".join(
+        ["timestamp_s," + ",".join(f"{name}_w_m2"
+                                   for name in timeline.probe_names) + "\n"] +
+        [repr(start + k * tick) + "," + ",".join(map(repr, values)) + "\n"
+         for k, values in enumerate(samples)]))
+
+
+def test_probe_samples_hold_a_run_per_lamp_switch():
+    # the longest run there is, in an empty room assumed vacant: its lamps
+    # run every scheduled cycle
+    scenario = Scenario(name="empty", room=ROOM, policy=CyclePolicy(),
+                        fusion=FusionParams(), occupants=(), start_time=START,
+                        duration=float(MAX_TICKS), tick=1.0, noise=QUIET,
+                        assume_vacant_at_start=True)
+    timeline = simulate(scenario).timeline
+    assert len(timeline.probe_samples) == MAX_TICKS
+    assert timeline.commands
+    assert len(list(timeline.probe_samples.runs())) <= \
+        len(timeline.commands) + 1
+
+
 def test_dose_grid_matches_interval_accumulation():
     result = simulate(make_scenario([walker()]))
     assert result.timeline.lamp_intervals   # the run had lamps on
