@@ -24,7 +24,9 @@ run's event log reproduces its command log by construction. A step on an
 unchanged snapshot does nothing until ``next_due_at`` but renew the recency
 stamps of open motion and zone windows: the decide pass skips the ticks
 before it and before the next change of the snapshot, and restamps those
-windows with the last skipped tick before it steps again.
+windows with the last skipped tick before it steps again. A desk lamp's
+quiet gap is not due while its zone or motion window is open: the gap
+counts from where the window closes, a change of the snapshot.
 """
 
 from __future__ import annotations
@@ -375,9 +377,11 @@ def next_due_at(state: ControllerState, policy: CyclePolicy,
     a desk quiet gap, the next upper-room slot or the next local midnight.
     Before it, stepping that snapshot again returns no commands and changes
     the state only in the recency stamps of the open motion and zone
-    windows, which the caller restamps before its next step. A quiet gap
-    counted from a stamp that an open window would renew is early, never
-    late: its lamp cannot start while the window stays open."""
+    windows, which the caller restamps before its next step. A desk lamp
+    whose zone or motion stamp is ``after``, a window the snapshot holds
+    open, has no quiet-gap due: it cannot start while that window stays
+    open, and the caller steps where the window closes, from where the
+    next step counts the gap again."""
     if state.manual_killed:
         return float("inf")
     due = [ends_at for _, ends_at in state.running.values()]
@@ -397,7 +401,7 @@ def next_due_at(state: ControllerState, policy: CyclePolicy,
         seen = [t for t in (state.zone_last_seen.get(zone_id),
                             state.motion_last_seen) if t is not None]
         started = state.desk_last_started.get(lamp_id)
-        if (lamp_id not in state.running and seen
+        if (lamp_id not in state.running and seen and after not in seen
                 and (started is None or started < max(seen))):
             due.append(max(seen) + policy.desk_quiet_gap)
     return min(due)

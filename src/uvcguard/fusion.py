@@ -508,8 +508,8 @@ class OccupancyFusion:
     clears and ``ingest`` sets only for an event that can change a field
     the controller reads: one that opens a motion, anomaly, zone or
     approach window closed at its timestamp, or a manual kill or rearm.
-    An event that extends an open window leaves it down: its caller steps
-    at the window's old end anyway, which ``next_change_at`` gave it.
+    An event that extends an open window leaves it down: its caller asks
+    ``next_change_at`` again before it steps at the window's old end.
     ``ingest_runs`` leaves the state that ``ingest`` on each of the rows
     leaves, with ``ingested`` and the anomaly log.
     """
@@ -521,11 +521,13 @@ class OccupancyFusion:
         self._us_zone = {s.id: _aimed_zone(room, s) for s in room.sensors
                          if s.kind is SensorKind.ULTRASONIC}
         self._latest_ts = -math.inf
-        self._motion_until = -math.inf
+        # the end of each hold window a row with a finite hold holds open, by
+        # ``_channel``: motion, each desk zone, approach
+        self._until: Dict[Union[str, type], float] = {
+            PirMotion: -math.inf, BleAdvert: -math.inf,
+            **{z.desk_id: -math.inf for z in room.desk_zones}}
+        self._zones = [z.desk_id for z in room.desk_zones]
         self._misc_until = -math.inf          # fail-safe window for anomalies
-        self._zone_until: Dict[str, float] = {z.desk_id: -math.inf
-                                              for z in room.desk_zones}
-        self._approach_until = -math.inf
         self._manual_kill = False
         self._manual_source: Optional[str] = None
         self._last_motion_time: Optional[float] = None
@@ -599,13 +601,17 @@ class OccupancyFusion:
             return math.inf
         return None
 
+    def _channel(self, source: str, payload: Payload) -> Union[str, type]:
+        """The key in ``_until`` of the window that a row with a finite hold
+        holds open: the desk zone its ultrasonic source is aimed at, or its
+        payload class, PirMotion for motion and BleAdvert for approach."""
+        if isinstance(payload, UsPresence):
+            return self._us_zone[source]
+        return PirMotion if isinstance(payload, PirMotion) else BleAdvert
+
     def _window_end(self, source: str, payload: Payload) -> float:
         """The end of the window that a row with a finite hold holds open."""
-        if isinstance(payload, PirMotion):
-            return self._motion_until
-        if isinstance(payload, UsPresence):
-            return self._zone_until[self._us_zone[source]]
-        return self._approach_until
+        return self._until[self._channel(source, payload)]
 
     def _apply(self, first: float, last: float, source: str, payload: Payload,
                hold: Optional[float]) -> None:
@@ -633,17 +639,12 @@ class OccupancyFusion:
             return
         if hold == math.inf:
             return
-        if isinstance(payload, PirMotion):
-            self._motion_until = self._open(self._motion_until, first, last, hold)
-            if self._last_motion_time is None or last > self._last_motion_time:
-                self._last_motion_time = last
-        elif isinstance(payload, UsPresence):
-            zone = self._us_zone[source]
-            self._zone_until[zone] = self._open(self._zone_until[zone], first,
-                                                last, hold)
-        else:
-            self._approach_until = self._open(self._approach_until, first,
-                                              last, hold)
+        channel = self._channel(source, payload)
+        until = self._until
+        until[channel] = self._open(until[channel], first, last, hold)
+        if channel is PirMotion and (self._last_motion_time is None
+                                     or last > self._last_motion_time):
+            self._last_motion_time = last
         self._mark(source, last + hold)
 
     def _open(self, until: float, first: float, last: float,
@@ -676,8 +677,9 @@ class OccupancyFusion:
             raise EventOrderError(
                 f"snapshot at t={now} precedes ingested event at t={self._latest_ts}")
         self.ingested = False
-        motion = now < self._motion_until or now < self._misc_until
-        zones = {zone_id: now < until for zone_id, until in self._zone_until.items()}
+        until = self._until
+        motion = now < until[PirMotion] or now < self._misc_until
+        zones = {zone_id: now < until[zone_id] for zone_id in self._zones}
         contributing = sorted(
             src for src, until in self._source_until.items() if now < until)
         if self._manual_kill and self._manual_source is not None:
@@ -688,22 +690,37 @@ class OccupancyFusion:
             timestamp=now,
             room_occupied=motion or any(zones.values()),
             desk_zone_occupied=zones,
-            approach_detected=now < self._approach_until,
+            approach_detected=now < until[BleAdvert],
             manual_kill=self._manual_kill,
             motion_active=motion,
             last_motion_time=self._last_motion_time,
             contributing_sources=tuple(contributing),
         )
 
-    def next_change_at(self, now: float) -> float:
+    def next_change_at(self, now: float,
+                       waiting: Iterable[Tuple[str, Payload, float]] = ()
+                       ) -> float:
         """Earliest end after ``now`` of a hold window that the controller
         reads (motion, anomaly, each desk zone, approach): without new
-        events, those fields of ``snapshot(t)`` stay as they are at ``now``
-        for every t before it."""
-        return min((until for until in (self._motion_until, self._misc_until,
-                                         self._approach_until,
-                                         *self._zone_until.values())
-                    if until > now), default=math.inf)
+        events but the rows ``waiting``, those fields of ``snapshot(t)`` stay
+        as they are at ``now`` for every t before it.
+
+        ``waiting`` holds (source, payload, end) of runs of rows that are
+        yet to go in, each row before the previous one's timestamp plus its
+        hold, after a row of the run that went in: the window the run holds
+        open cannot close before ``end``, its last row's timestamp plus the
+        hold. A run whose hold is math.inf opens no window and is passed
+        over."""
+        until = self._until
+        if waiting:
+            until = dict(until)
+            for source, payload, end in waiting:
+                if self._hold(source, payload) != math.inf:
+                    channel = self._channel(source, payload)
+                    if end > until[channel]:
+                        until[channel] = end
+        return min((end for end in (self._misc_until, *until.values())
+                    if end > now), default=math.inf)
 
 
 def _aimed_zone(room: RoomModel, sensor: SensorSpec) -> Optional[str]:

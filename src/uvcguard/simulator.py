@@ -33,7 +33,11 @@ after an ingest that opens a hold window or presses the manual switch, and
 at the first tick at or after the next hold-window expiry or controller
 rule due (``next_change_at``, ``next_due_at``); on every other tick a step
 would only renew the recency stamps of open windows, which the next step
-restamps with the last skipped tick. Only the first row of a run can open
+restamps with the last skipped tick. A window's expiry counts the rows
+that wait to go in on its channel, and a tick that only an expiry or a
+due brought is counted again from the windows and waiting rows of the
+moment before it steps. A desk lamp's quiet gap falls due only once its
+zone and motion windows have closed. Only the first row of a run can open
 a window when each row falls before the previous one's timestamp plus its
 hold: that row goes in alone through ``ingest``, and the rest of the run
 waits and goes in through one ``ingest_runs`` call, with the waiting rows
@@ -662,7 +666,8 @@ class _Control:
     happen, and ``decide`` steps the controller on a tick's snapshot when
     the step can do something. ``next_k`` is the next tick that must step
     even if no event arrives before it; ``stepped`` is the last tick that
-    stepped and ``last`` its snapshot."""
+    stepped, ``last`` its snapshot and ``due`` the time from which a rule
+    of the controller may fire on that snapshot."""
 
     def __init__(self, scenario: Scenario, ticks: _TickGrid):
         start = scenario.start_time
@@ -671,6 +676,7 @@ class _Control:
         self.ticks = ticks
         self.next_k = 0
         self.stepped = -1
+        self.due = -math.inf
         self.last: Optional[OccupancySnapshot] = None
         self.state = ControllerState.initial(
             scenario.room, scenario.policy, start,
@@ -695,10 +701,22 @@ class _Control:
         self.state, commands = step(self.state, snapshot, t, self.policy)
         self.stepped, self.last = k, snapshot
         # 1e-6 s early: the candidates carry rounding of a few ulps
-        self.next_k = self.ticks.first_at(min(
-            fusion.next_change_at(t),
-            next_due_at(self.state, self.policy, t) - 1e-6))
+        self.due = next_due_at(self.state, self.policy, t) - 1e-6
+        self.schedule(())
         return commands
+
+    def schedule(self, waiting: Iterable[Tuple[str, Payload, float]]) -> int:
+        """Set ``next_k`` to the first tick at or after the earlier of
+        ``due`` and the first end of a window after the last step, counting
+        the runs of rows ``waiting`` to go in, (source, payload, end) each,
+        as ``next_change_at`` takes them, and return it. Between ingests
+        that raise ``ingested``, the rows that go in and the rows that wait
+        only move the ends of open windows later, and ``next_k`` with
+        them."""
+        self.next_k = self.ticks.first_at(min(
+            self.fusion.next_change_at(self.ticks.time(self.stepped), waiting),
+            self.due))
+        return self.next_k
 
 
 class _Occupants:
@@ -953,7 +971,14 @@ def _decide(scenario: Scenario, events: EventRuns,
     row of a run whose rows are not ``each_within`` their hold. The later
     rows of a run whose rows are wait, and go in through one ``ingest_runs``
     call, as rows of its latest payload, before the next tick that steps or
-    the next row that goes in alone."""
+    the next row that goes in alone.
+
+    A tick that only the end of a window or a controller rule due brought,
+    with no ingest that raised ``ingested``, steps only if it still comes
+    first when counted again from the windows as they are then and the
+    rows that wait: a waiting run holds its window open up to its last row
+    plus the hold, and the first rows of runs that went in alone may have
+    moved window ends later."""
     ticks = _TickGrid(scenario)
     control = _Control(scenario, ticks)
     fusion = control.fusion
@@ -1002,7 +1027,16 @@ def _decide(scenario: Scenario, events: EventRuns,
         """Step every tick that must step before a row at ``ts``."""
         nonlocal k, t
         while ts > t and k < count:
-            if waiting and not control.idle(k):
+            if not fusion.ingested:
+                # only the end of a window or a rule due brought tick k: the
+                # rows that went in since the last step, or wait, may hold
+                # that window open past it
+                later = control.schedule([(run[0], run[1], run[6])
+                                          for run in waiting])
+                if later > k:
+                    k, t = later, ticks.time(later)
+                    continue
+            if waiting:
                 feed(k, t)
             commands.extend(control.decide(k, t))
             k = max(k + 1, control.next_k)

@@ -467,7 +467,9 @@ def test_skipping_control_matches_a_twin_that_steps_every_tick(
         k += repeats
     events = sort_events(events)
     skipper, twin = _Control(scenario, ticks), _Control(scenario, ticks)
+    roster = skipper.state.roster
     every_tick = []
+    dark = False        # from a kill until a rearm and then a detection
     i = 0
     for k in range(ticks.count):
         t = ticks.time(k)
@@ -481,6 +483,21 @@ def test_skipping_control_matches_a_twin_that_steps_every_tick(
         every_tick.extend(commands)
         if skipper.stepped == k:
             assert skipper.state == twin.state
+        # the interlock holds on every tick, stepped or skipped, against
+        # the picture of the tick, which the twin's step read
+        picture, running = twin.last, skipper.state.running
+        presence = picture.room_occupied or picture.approach_detected
+        if presence:
+            assert running.keys().isdisjoint(roster.ceiling_ids)
+        for lamp_id, zone_id in roster.desk_lamp_zone.items():
+            if picture.motion_active or picture.desk_zone_occupied[zone_id]:
+                assert lamp_id not in running
+        if picture.manual_kill:
+            dark = True
+        elif presence:
+            dark = False
+        if dark:
+            assert running == {}
     # the one control loop, which feeds the events of idle ticks in one
     # go, on unsorted input with timestamps off the tick grid
     assert replay(scenario, events[::-1]) == every_tick

@@ -331,8 +331,8 @@ def test_an_ingest_that_leaves_ingested_down_changes_no_step_input(
 # ---------------------------------------------------------------------------
 
 def _state(f: OccupancyFusion) -> tuple:
-    return (f._latest_ts, f._motion_until, f._misc_until, dict(f._zone_until),
-            f._approach_until, f._manual_kill, f._manual_source,
+    return (f._latest_ts, dict(f._until), f._misc_until,
+            f._manual_kill, f._manual_source,
             f._last_motion_time, dict(f._source_until), list(f.anomalies),
             f.ingested)
 
@@ -388,6 +388,38 @@ def test_a_run_ingest_equals_ingesting_each_row(runs, pir_hold, us_hold,
         assert _state(by_run) == _state(by_row)
         if clear:
             assert by_run.snapshot(times[-1]) == by_row.snapshot(times[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs, _holds, _holds, _holds, _grid)
+# far adverts after near ones: they hold no approach window open
+@example([(0, 5, 1, 3), (1, 6, 1, 3)], 1.0, 1.0, 15.0, (0.0, 0.1))
+def test_waiting_rows_end_their_window_where_ingesting_them_does(
+        runs, pir_hold, us_hold, ble_hold, grid):
+    # the first row of each run goes in; the rest wait, as in the decide
+    # pass, when each falls within the hold of the one before
+    start, tick = grid
+    waiter, eater = _twins(pir_hold, us_hold, ble_hold)
+    k = 0
+    for gap, index, period, count in runs:
+        source, payload = _RUN_PAYLOADS[index]
+        times = TickTimes(start, tick, range(k + gap, k + gap + count * period,
+                                             period))
+        k = times.ks[-1]
+        rest = [(TickTimes(start, tick, times.ks[1:]), source, payload)]
+        hold = waiter.hold(source, payload)
+        for f in (waiter, eater):
+            f.ingest(SensorEvent(times[0], source, payload))
+        if count > 1 and hold is not None and each_within(times, hold):
+            eater.ingest_runs(rest)
+            assert waiter.next_change_at(
+                times[0], [(source, payload, times[-1] + hold)]) == \
+                eater.next_change_at(times[0])
+            waiter.ingest_runs(rest)
+        elif count > 1:
+            for f in (waiter, eater):
+                f.ingest_runs(rest)
+        assert _state(waiter) == _state(eater)
 
 
 @settings(max_examples=200, deadline=None)

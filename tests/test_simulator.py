@@ -741,6 +741,11 @@ NEXT_EVENT_RUNS = {
        for seed in range(20)},
     **{f"noisy_fuzz:{seed}": (lambda seed=seed: dataclasses.replace(
         random_walk_scenario(seed), noise=_NOISY)) for seed in range(5)},
+    # far adverts wait in runs with no window to hold open: were they
+    # counted as holding the approach window open, the cycle after the
+    # visit would never start
+    **{f"fuzz:{seed}": (lambda seed=seed: random_walk_scenario(seed))
+       for seed in (140, 266)},
     "held_D": lambda: dataclasses.replace(scenario_d(), room=_HELD_ROOM),
     # with no fusion hold, a latch re-emitting into an empty room leaves
     # the snapshot vacant: only the open latch stops the jump
@@ -876,6 +881,29 @@ def test_next_event_advance_equals_stepping_every_tick(run, monkeypatch):
     assert jumped.keys() == stepped.keys()
     for name, output in jumped.items():
         assert_same(name, output, stepped[name])
+
+
+@pytest.mark.parametrize("name, limit", [("A", 60), ("B", 20)])
+def test_the_decide_pass_steps_only_where_the_picture_can_change(
+        name, limit, monkeypatch):
+    # the ends of windows that waiting rows hold open, and the quiet gaps of
+    # desk lamps whose zone or motion window is open, are no steps: simulate
+    # and the replay of the run's own log each step a few dozen ticks of
+    # 72,000
+    scenario = reference_scenarios()[name]
+    steps: List[float] = []
+    step = simulator.step
+    monkeypatch.setattr(simulator, "step", lambda state, snapshot, now, policy: (
+        steps.append(now), step(state, snapshot, now, policy))[1])
+    result = simulate(scenario)
+    simulated = len(steps)
+    log = io.StringIO()
+    write_event_log(result.timeline.events, log)
+    steps.clear()
+    events = read_event_log(io.StringIO(log.getvalue()),
+                            grid=(scenario.start_time, scenario.tick))
+    assert replay(scenario, events) == result.timeline.commands
+    assert simulated <= limit and len(steps) <= limit, (simulated, len(steps))
 
 
 def test_decide_holds_back_only_rows_within_the_hold(monkeypatch):
