@@ -20,15 +20,13 @@ in the order of their first rows and reads as a sequence of
 ``write_event_log`` merges the runs window by window and formats each
 run's rows from its ticks.
 
-``OccupancyFusion.ingest_runs`` takes the rows of runs as ``ingest`` would
-take each, merged in time order. When each row of a run falls before the
-previous row's timestamp plus its hold, the comparison ``_open`` makes, only
-its first row can open a window, and the run costs one update: ``ingested``
-rises if the first row opens a window, and the window then ends at the last
-row plus the hold. Otherwise the rows go in one at a time: with a zero hold
-or a hold no longer than the period, for anomalies (an ultrasonic return
-from a sensor with no aimed zone, an RSSI outside its band), each of which
-is logged, and for the manual switch.
+A run reaches ``OccupancyFusion`` as window pieces: a piece is a stretch of
+its rows in which each row falls before the previous row's timestamp plus
+the hold, the comparison ``_open`` makes, so that only its first row can
+open a window. ``window_end`` finds where a piece ends, and
+``OccupancyFusion.ingest_window`` takes it whole at its first row's time,
+as ``ingest`` of each of its rows would: ``ingested`` rises if the first row
+opens a window, and the window then ends at the last row plus the hold.
 """
 
 from __future__ import annotations
@@ -126,57 +124,34 @@ def _digit_texts(first: int, step: int, n: int,
     return "\n".join(hundreds).split("\n") if hundreds else []
 
 
-class TickTimes:
-    """The timestamps ``start + k * tick`` of the ticks k in ``ks``.
-
-    ``texts`` gives their ``repr`` texts, built from decimal digits where it
-    can. From a whole start at a 1 s tick the times are exact integers below
-    2**53, so each text is the integer and ".0". On a grid of whole tenths
-    in [10 s, 2**48 s) an ulp is under 0.1 s, so a one-fraction-digit decimal
-    that parses back to the time is its shortest round-trip text, which
-    ``repr`` prints (Steele & White, PLDI 1990): each text m / 10 is kept if
-    ``m / 10``, correctly rounded as the parse is, equals the time."""
-
-    __slots__ = ("start", "tick", "ks")
-
-    def __init__(self, start: float, tick: float, ks: range):
-        self.start = start
-        self.tick = tick
-        self.ks = ks
-
-    def __len__(self) -> int:
-        return len(self.ks)
-
-    def __getitem__(self, i: int) -> float:
-        return self.start + self.ks[i] * self.tick
-
-    def __iter__(self) -> Iterator[float]:
-        start, tick = self.start, self.tick
-        for k in self.ks:
-            yield start + k * tick
-
-    def texts(self) -> List[str]:
-        """``[repr(t) for t in self]``."""
-        start, tick, ks = self.start, self.tick, self.ks
-        if not (ks and ks.step > 0 and tick > 0.0):
-            return [repr(t) for t in self]
-        lo, hi = self[0], self[-1]
-        if tick == 1.0 and 100.0 <= lo and hi < 2.0 ** 53 and ks.start >= 0 \
-                and 0.0 <= start and start % 1.0 == 0.0:
-            return _digit_texts(int(start) + ks.start, ks.step, len(ks),
-                                _WHOLE_ENDINGS)
-        if not (10.0 <= lo and hi < 2.0 ** 48):
-            return [repr(t) for t in self]
-        step, m0 = round(tick * 10.0), round(start * 10.0)
-        if not (step / 10 == tick and m0 / 10 == start):
-            return [repr(t) for t in self]
-        ms = range(m0 + ks.start * step, m0 + ks.stop * step, ks.step * step)
-        texts = _digit_texts(ms.start, ms.step, len(ms), _TENTHS_ENDINGS)
-        times = [start + k * tick for k in ks]
-        if [m / 10 for m in ms] != times:
-            texts = [text if m / 10 == t else repr(t)
-                     for text, m, t in zip(texts, ms, times)]
-        return texts
+def tick_texts(start: float, tick: float, ks: range) -> List[str]:
+    """``[repr(start + k * tick) for k in ks]``, built from decimal digits
+    where it can. From a whole start at a 1 s tick the times are exact
+    integers below 2**53, so each text is the integer and ".0". On a grid of
+    whole tenths in [10 s, 2**48 s) an ulp is under 0.1 s, so a
+    one-fraction-digit decimal that parses back to the time is its shortest
+    round-trip text, which ``repr`` prints (Steele & White, PLDI 1990): each
+    text m / 10 is kept if ``m / 10``, correctly rounded as the parse is,
+    equals the time."""
+    if not (ks and ks.step > 0 and tick > 0.0):
+        return [repr(start + k * tick) for k in ks]
+    lo, hi = start + ks[0] * tick, start + ks[-1] * tick
+    if tick == 1.0 and 100.0 <= lo and hi < 2.0 ** 53 and ks.start >= 0 \
+            and 0.0 <= start and start % 1.0 == 0.0:
+        return _digit_texts(int(start) + ks.start, ks.step, len(ks),
+                            _WHOLE_ENDINGS)
+    times = [start + k * tick for k in ks]
+    if not (10.0 <= lo and hi < 2.0 ** 48):
+        return [repr(t) for t in times]
+    step, m0 = round(tick * 10.0), round(start * 10.0)
+    if not (step / 10 == tick and m0 / 10 == start):
+        return [repr(t) for t in times]
+    ms = range(m0 + ks.start * step, m0 + ks.stop * step, ks.step * step)
+    texts = _digit_texts(ms.start, ms.step, len(ms), _TENTHS_ENDINGS)
+    if [m / 10 for m in ms] != times:
+        texts = [text if m / 10 == t else repr(t)
+                 for text, m, t in zip(texts, ms, times)]
+    return texts
 
 
 def grid_tick(start: float, tick: float, ts: float) -> Optional[int]:
@@ -188,27 +163,26 @@ def grid_tick(start: float, tick: float, ts: float) -> Optional[int]:
     return k if start + k * tick == ts else None
 
 
-def each_within(times: Sequence[float], hold: float) -> bool:
-    """Whether each of ``times`` falls before the one before it plus
-    ``hold``: the comparison ``_open`` makes, so that only the first row of
-    a run can open a window."""
+def window_end(start: float, tick: float, ks: range, hold: float) -> int:
+    """The last tick of the window piece that starts at the first tick of
+    ``ks``: up to it, each row at ``start + k * tick`` falls before the
+    previous row's time plus ``hold``, the comparison ``_open`` makes, so
+    that only the piece's first row can open a window."""
     if hold == math.inf:
-        return True
-    if isinstance(times, TickTimes):
-        ks = times.ks
-        # each tick time, each sum and the gap below carry under an ulp of
-        # error at the largest magnitude m: a gap 8 ulps short of the hold
-        # passes the comparison on every row
-        m = abs(times.start) + max(abs(ks[0]), abs(ks[-1])) * times.tick + hold
-        if ks.step * times.tick + 8.0 * math.ulp(m) < hold:
-            return True
-    it = iter(times)
-    prev = next(it)
-    for ts in it:
+        return ks[-1]
+    # each tick time, each sum and the gap below carry under an ulp of error
+    # at the largest magnitude m: a gap 8 ulps short of the hold passes the
+    # comparison on every row
+    m = abs(start) + max(abs(ks[0]), abs(ks[-1])) * tick + hold
+    if ks.step * tick + 8.0 * math.ulp(m) < hold:
+        return ks[-1]
+    prev = start + ks[0] * tick
+    for k in ks[1:]:
+        ts = start + k * tick
         if not ts < prev + hold:
-            return False
+            return k - ks.step
         prev = ts
-    return True
+    return ks[-1]
 
 
 def _same_payload(a: Payload, b: Payload) -> bool:
@@ -492,8 +466,6 @@ class OccupancySnapshot:
     approach_detected: bool
     manual_kill: bool
     motion_active: bool
-    last_motion_time: Optional[float]
-    contributing_sources: Tuple[str, ...]
 
 
 class EventOrderError(ValueError):
@@ -510,8 +482,9 @@ class OccupancyFusion:
     approach window closed at its timestamp, or a manual kill or rearm.
     An event that extends an open window leaves it down: its caller asks
     ``next_change_at`` again before it steps at the window's old end.
-    ``ingest_runs`` leaves the state that ``ingest`` on each of the rows
-    leaves, with ``ingested`` and the anomaly log.
+    ``ingest_window`` leaves the state that ``ingest`` on each row of its
+    piece leaves, with ``ingested`` and the anomaly log, except that later
+    ingests and snapshots are checked against its first row, not its last.
     """
 
     def __init__(self, room: RoomModel, params: Optional[FusionParams] = None):
@@ -521,17 +494,14 @@ class OccupancyFusion:
         self._us_zone = {s.id: _aimed_zone(room, s) for s in room.sensors
                          if s.kind is SensorKind.ULTRASONIC}
         self._latest_ts = -math.inf
-        # the end of each hold window a row with a finite hold holds open, by
-        # ``_channel``: motion, each desk zone, approach
+        # the end of each hold window a row with a finite hold holds open:
+        # motion (PirMotion), each desk zone, approach (BleAdvert)
         self._until: Dict[Union[str, type], float] = {
             PirMotion: -math.inf, BleAdvert: -math.inf,
             **{z.desk_id: -math.inf for z in room.desk_zones}}
         self._zones = [z.desk_id for z in room.desk_zones]
         self._misc_until = -math.inf          # fail-safe window for anomalies
         self._manual_kill = False
-        self._manual_source: Optional[str] = None
-        self._last_motion_time: Optional[float] = None
-        self._source_until: Dict[str, float] = {}
         self.anomalies: List[Tuple[float, str, str]] = []
         self.ingested = False
 
@@ -539,36 +509,16 @@ class OccupancyFusion:
 
     def ingest(self, event: SensorEvent) -> None:
         ts = event.timestamp
-        self._check_order(ts, event.source)
-        self._latest_ts = ts
-        source, payload = event.source, event.payload
-        self._apply(ts, ts, source, payload, self._hold(source, payload))
+        self.ingest_window(ts, ts, event.source, event.payload)
 
-    def ingest_runs(self, runs: Sequence[Tuple[Sequence[float], str, Payload]]
-                    ) -> None:
-        """Ingest the rows of ``runs``, each (times, source, payload), merged
-        in time order with ties in the order given, as ``ingest`` would
-        ingest each row. Each run costs one update when its rows are
-        ``each_within`` its ``hold`` and, if several runs are given, its first
-        row finds its window open, so that no row of any run opens one;
-        otherwise the rows go in one at a time."""
-        if not runs:
-            return
-        for times, source, _ in runs:
-            self._check_order(times[0], source)
-        holds = [self._hold(source, payload) for _, source, payload in runs]
-        if all(hold is not None and each_within(times, hold) and (
-                len(runs) == 1 or hold == math.inf or
-                times[0] < self._window_end(source, payload))
-               for (times, source, payload), hold in zip(runs, holds)):
-            for (times, source, payload), hold in zip(runs, holds):
-                self._apply(times[0], times[-1], source, payload, hold)
-            self._latest_ts = max(times[-1] for times, _, _ in runs)
-            return
-        for ts, source, payload in sorted(
-                ((ts, source, payload) for times, source, payload in runs
-                 for ts in times), key=itemgetter(0)):
-            self.ingest(SensorEvent(ts, source, payload))
+    def ingest_window(self, first: float, last: float, source: str,
+                      payload: Payload) -> None:
+        """Ingest the rows of ``payload`` from ``source`` from ``first`` to
+        ``last``, a window piece: each falls before the previous one's
+        timestamp plus its ``hold``, as ``window_end`` finds them."""
+        self._check_order(first, source)
+        self._latest_ts = first
+        self._apply(first, last, source, payload, self._hold(source, payload))
 
     def _check_order(self, ts: float, source: str) -> None:
         if ts < self._latest_ts:
@@ -580,8 +530,7 @@ class OccupancyFusion:
         """How long a row of ``payload`` from ``source`` holds its window
         open, math.inf for a row that opens none; None for a row that goes
         in alone: an anomaly, which is logged, or a manual switch press. Of
-        a run whose rows are ``each_within`` it, only the first row can
-        open a window."""
+        a window piece, only the first row can open a window."""
         return self._hold(source, payload)
 
     def _hold(self, source: str, payload: Payload) -> Optional[float]:
@@ -601,18 +550,6 @@ class OccupancyFusion:
             return math.inf
         return None
 
-    def _channel(self, source: str, payload: Payload) -> Union[str, type]:
-        """The key in ``_until`` of the window that a row with a finite hold
-        holds open: the desk zone its ultrasonic source is aimed at, or its
-        payload class, PirMotion for motion and BleAdvert for approach."""
-        if isinstance(payload, UsPresence):
-            return self._us_zone[source]
-        return PirMotion if isinstance(payload, PirMotion) else BleAdvert
-
-    def _window_end(self, source: str, payload: Payload) -> float:
-        """The end of the window that a row with a finite hold holds open."""
-        return self._until[self._channel(source, payload)]
-
     def _apply(self, first: float, last: float, source: str, payload: Payload,
                hold: Optional[float]) -> None:
         """The windows after the rows of ``payload`` from ``source`` from
@@ -623,7 +560,6 @@ class OccupancyFusion:
         if hold is None:
             if isinstance(payload, ManualOff):
                 self._manual_kill = True
-                self._manual_source = source
                 self.ingested = True
             elif isinstance(payload, ManualRearm):
                 self._manual_kill = False
@@ -639,13 +575,13 @@ class OccupancyFusion:
             return
         if hold == math.inf:
             return
-        channel = self._channel(source, payload)
+        # the desk zone an ultrasonic source is aimed at, or motion or approach
+        if isinstance(payload, UsPresence):
+            channel = self._us_zone[source]
+        else:
+            channel = PirMotion if isinstance(payload, PirMotion) else BleAdvert
         until = self._until
         until[channel] = self._open(until[channel], first, last, hold)
-        if channel is PirMotion and (self._last_motion_time is None
-                                     or last > self._last_motion_time):
-            self._last_motion_time = last
-        self._mark(source, last + hold)
 
     def _open(self, until: float, first: float, last: float,
               hold: float) -> float:
@@ -656,11 +592,6 @@ class OccupancyFusion:
             self.ingested = True
         return max(until, last + hold)
 
-    def _mark(self, source: str, until: float) -> None:
-        prev = self._source_until.get(source, -math.inf)
-        if until > prev:
-            self._source_until[source] = until
-
     def _anomaly(self, ts: float, source: str, why: str) -> None:
         # fail safe: anything we cannot interpret counts as a detection
         self.anomalies.append((ts, source, why))
@@ -668,7 +599,6 @@ class OccupancyFusion:
                        source, ts, why)
         hold = self.params.pir_hold
         self._misc_until = self._open(self._misc_until, ts, ts, hold)
-        self._mark(source, ts + hold)
 
     # -- reading -----------------------------------------------------------
 
@@ -680,12 +610,6 @@ class OccupancyFusion:
         until = self._until
         motion = now < until[PirMotion] or now < self._misc_until
         zones = {zone_id: now < until[zone_id] for zone_id in self._zones}
-        contributing = sorted(
-            src for src, until in self._source_until.items() if now < until)
-        if self._manual_kill and self._manual_source is not None:
-            if self._manual_source not in contributing:
-                contributing.append(self._manual_source)
-                contributing.sort()
         return OccupancySnapshot(
             timestamp=now,
             room_occupied=motion or any(zones.values()),
@@ -693,33 +617,15 @@ class OccupancyFusion:
             approach_detected=now < until[BleAdvert],
             manual_kill=self._manual_kill,
             motion_active=motion,
-            last_motion_time=self._last_motion_time,
-            contributing_sources=tuple(contributing),
         )
 
-    def next_change_at(self, now: float,
-                       waiting: Iterable[Tuple[str, Payload, float]] = ()
-                       ) -> float:
+    def next_change_at(self, now: float) -> float:
         """Earliest end after ``now`` of a hold window that the controller
         reads (motion, anomaly, each desk zone, approach): without new
-        events but the rows ``waiting``, those fields of ``snapshot(t)`` stay
-        as they are at ``now`` for every t before it.
-
-        ``waiting`` holds (source, payload, end) of runs of rows that are
-        yet to go in, each row before the previous one's timestamp plus its
-        hold, after a row of the run that went in: the window the run holds
-        open cannot close before ``end``, its last row's timestamp plus the
-        hold. A run whose hold is math.inf opens no window and is passed
-        over."""
-        until = self._until
-        if waiting:
-            until = dict(until)
-            for source, payload, end in waiting:
-                if self._hold(source, payload) != math.inf:
-                    channel = self._channel(source, payload)
-                    if end > until[channel]:
-                        until[channel] = end
-        return min((end for end in (self._misc_until, *until.values())
+        events, those fields of ``snapshot(t)`` stay as they are at ``now``
+        for every t before it. A window piece that went in ends its window
+        at its last row plus the hold."""
+        return min((end for end in (self._misc_until, *self._until.values())
                     if end > now), default=math.inf)
 
 
@@ -780,7 +686,7 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
     run do, share one formatted tail. ``EventRuns`` are written in their
     order window by window, with no event built: each run's rows from its
     ticks, and where the rows fill a window's ticks, one timestamp text per
-    tick; ``TickTimes.texts`` formats the tick times."""
+    tick; ``tick_texts`` formats the tick times."""
     stream.write(EVENT_LOG_HEADER + "\n")
     # (source, payload id) -> (payload, tail). An entry holds its payload,
     # so no other object can take that id while the entry lives.
@@ -811,7 +717,7 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
         # joins in one call; one timestamp text per tick, shared by the rows
         # on it, when the window's rows fill its ticks
         if len(ticks) <= sum(len(ks) for _, ks, _, _ in placed):
-            stamps = TickTimes(start, tick, ticks).texts()
+            stamps = tick_texts(start, tick, ticks)
         else:
             stamps = None
         slots = [""] * (2 * len(ticks) * len(placed))
@@ -825,7 +731,7 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
             if text is None:
                 text = texts[id(entry)] = tail(entry[3], entry[4])
             slots[first:stop:step] = stamps[at] if stamps is not None else \
-                TickTimes(start, tick, ks).texts()
+                tick_texts(start, tick, ks)
             slots[first + 1:stop + 1:step] = [text] * len(ks)
         stream.write("".join(slots))
 

@@ -33,19 +33,17 @@ after an ingest that opens a hold window or presses the manual switch, and
 at the first tick at or after the next hold-window expiry or controller
 rule due (``next_change_at``, ``next_due_at``); on every other tick a step
 would only renew the recency stamps of open windows, which the next step
-restamps with the last skipped tick. A window's expiry counts the rows
-that wait to go in on its channel, and a tick that only an expiry or a
-due brought is counted again from the windows and waiting rows of the
-moment before it steps. A desk lamp's quiet gap falls due only once its
-zone and motion windows have closed. Only the first row of a run can open
-a window when each row falls before the previous one's timestamp plus its
-hold: that row goes in alone through ``ingest``, and the rest of the run
-waits and goes in through one ``ingest_runs`` call, with the waiting rows
-of the other runs, before the next tick that steps or the next row that
-goes in alone. Rows go in one at a time where that does not hold: with a
-zero hold or a hold no longer than the period, for anomalies and manual
-switch presses, and for rows off the tick grid. Those rows are merged with
-the first rows of the other runs in (timestamp, source, lane) order. While nobody inside moves
+restamps with the last skipped tick. A tick that only an expiry or a due
+brought is counted again from the windows of the moment before it steps. A
+desk lamp's quiet gap falls due only once its zone and motion windows have
+closed. A run goes into fusion as window pieces, through one
+``ingest_window`` each at its first row's time: a piece is a stretch of
+the run's rows in which each falls before the previous one's timestamp
+plus the hold, so that only its first row can open a window, and the
+window it holds open carries its true end from the moment it goes in.
+Anomalies, manual switch presses and rows off the tick grid go in one at a
+time through ``ingest``. Pieces and rows go in merged in (timestamp,
+source, lane) order of their first rows. While nobody inside moves
 and nobody moves before the next waypoint, every tick emits the same sensor
 payloads and draws nothing. Such a still span runs up to that waypoint, the
 next PIR false positive, the end of an open latch or, with RSSI noise, the
@@ -77,7 +75,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
@@ -88,8 +85,8 @@ from .dosimetry import (DoseGrid, LampOnIntervals, accumulate_dose,
                         irradiance_at_point)
 from .fusion import (BleAdvert, EventRuns, FusionParams, OccupancyFusion,
                      OccupancySnapshot, Payload, PirMotion, SensorEvent,
-                     TickTimes, UsPresence, distance_to_rssi, each_within,
-                     first_tick, grid_tick)
+                     UsPresence, distance_to_rssi, first_tick, tick_texts,
+                     window_end)
 from .room import (ID_PATTERN, LampSpec, LampTier, Point3, RoomModel,
                    SensorKind, SensorSpec, angle_between_deg,
                    require_finite, validate as validate_room)
@@ -702,19 +699,17 @@ class _Control:
         self.stepped, self.last = k, snapshot
         # 1e-6 s early: the candidates carry rounding of a few ulps
         self.due = next_due_at(self.state, self.policy, t) - 1e-6
-        self.schedule(())
+        self.schedule()
         return commands
 
-    def schedule(self, waiting: Iterable[Tuple[str, Payload, float]]) -> int:
+    def schedule(self) -> int:
         """Set ``next_k`` to the first tick at or after the earlier of
-        ``due`` and the first end of a window after the last step, counting
-        the runs of rows ``waiting`` to go in, (source, payload, end) each,
-        as ``next_change_at`` takes them, and return it. Between ingests
-        that raise ``ingested``, the rows that go in and the rows that wait
-        only move the ends of open windows later, and ``next_k`` with
+        ``due`` and the first end of a window after the last step, and
+        return it. Between ingests that raise ``ingested``, the pieces that
+        go in only move the ends of open windows later, and ``next_k`` with
         them."""
         self.next_k = self.ticks.first_at(min(
-            self.fusion.next_change_at(self.ticks.time(self.stepped), waiting),
+            self.fusion.next_change_at(self.ticks.time(self.stepped)),
             self.due))
         return self.next_k
 
@@ -958,70 +953,33 @@ def _decide(scenario: Scenario, events: EventRuns,
     """The decide pass over ``EventRuns`` on the scenario's tick grid. At
     each checkpoint K, every row up to tick K has been added, and rows after
     it may have been: it takes the entries and the rows the runs gained up
-    to tick K, in (timestamp, source, lane) order, and steps the ticks up to
-    K; a run's later rows may still wait to go in. Tick k steps once the
-    rows up to its time are in; the ticks after it before ``next_k`` only
-    feed fusion, up to the first ingest that raises ``ingested``.
+    to tick K, and steps the ticks up to K. Tick k steps once the rows up to
+    its time are in; the ticks after it before ``next_k`` only feed fusion,
+    up to the first ingest that raises ``ingested``.
 
-    Here a run is rows of one source and lane at a fixed period whose
-    payloads are of one kind and hold the same window for the same
-    ``hold``: fusion takes each of its rows as it takes the first. A row
-    that may open a window goes in alone through ``ingest``, and its own
-    tick steps if it raises ``ingested``: the first row of a run, and each
-    row of a run whose rows are not ``each_within`` their hold. The later
-    rows of a run whose rows are wait, and go in through one ``ingest_runs``
-    call, as rows of its latest payload, before the next tick that steps or
-    the next row that goes in alone.
-
-    A tick that only the end of a window or a controller rule due brought,
+    The rows of an entry go in as window pieces, in (timestamp, source,
+    lane) order of their first rows: each piece through one
+    ``ingest_window`` at its first row's time, up to the row ``window_end``
+    finds, and its own tick steps if it raises ``ingested``. A row whose
+    hold is None and a row off the grid go in alone through ``ingest``. A
+    tick that only the end of a window or a controller rule due brought,
     with no ingest that raised ``ingested``, steps only if it still comes
-    first when counted again from the windows as they are then and the
-    rows that wait: a waiting run holds its window open up to its last row
-    plus the hold, and the first rows of runs that went in alone may have
-    moved window ends later."""
+    first when counted again from the windows as they are then: the pieces
+    that went in since may have moved window ends later."""
     ticks = _TickGrid(scenario)
     control = _Control(scenario, ticks)
     fusion = control.fusion
     hold_of = fusion.hold
     start, tick, count = ticks.start, ticks.tick, ticks.count
     entries = events.entries
-    # the latest run of each (source, lane), [source, latest payload, period,
-    # fed, last, hold, end of the last row's hold, lane]: its rows up to
-    # tick ``fed`` are in, and those after it up to ``last`` wait, each
-    # within the hold of the one before. A period of 0 is not known yet
-    runs: Dict[Tuple[str, int], list] = {}
-    waiting: List[list] = []        # in (source, lane) order
-    # rows of entries yet to take, in order: (timestamp, source, lane, seq,
+    # the rest of each entry yet to go in: (timestamp, source, lane, seq,
     # first tick, last tick, period, payload), the rows at ticks first,
-    # first + period, ... up to last
+    # first + period, ... up to last; both ticks are None for a row alone
     pending: List[tuple] = []
     order = itertools.count()
     # the last entry taken of each (source, lane), which may still gain
     # rows, and the tick of the last row taken of it
     growing: Dict[Tuple[str, int], list] = {}
-
-    def feed(upto_k: int, bound: float) -> None:
-        """Feed fusion the waiting rows at ticks up to ``upto_k`` and at
-        times up to ``bound``, in one call."""
-        pieces = []
-        keep = []
-        for run in waiting:
-            source, payload, period, fed, last = run[:5]
-            upto = fed
-            if upto_k > fed:
-                upto += (min(upto_k, last) - fed) // period * period
-            while upto < last and start + (upto + period) * tick <= bound:
-                upto += period
-            if upto > fed:
-                pieces.append((
-                    TickTimes(start, tick, range(fed + period, upto + 1, period))
-                    if upto > fed + period else (start + upto * tick,),
-                    source, payload))
-                run[3] = upto
-            if upto < last:
-                keep.append(run)
-        waiting[:] = keep
-        fusion.ingest_runs(pieces)
 
     def step_to(ts: float) -> None:
         """Step every tick that must step before a row at ``ts``."""
@@ -1029,75 +987,40 @@ def _decide(scenario: Scenario, events: EventRuns,
         while ts > t and k < count:
             if not fusion.ingested:
                 # only the end of a window or a rule due brought tick k: the
-                # rows that went in since the last step, or wait, may hold
-                # that window open past it
-                later = control.schedule([(run[0], run[1], run[6])
-                                          for run in waiting])
+                # pieces that went in since the last step may hold that
+                # window open past it
+                later = control.schedule()
                 if later > k:
                     k, t = later, ticks.time(later)
                     continue
-            if waiting:
-                feed(k, t)
             commands.extend(control.decide(k, t))
             k = max(k + 1, control.next_k)
             t = ticks.time(k)
 
-    def take(ts: float, source: str, lane: int, row: Optional[int],
-             last: int, period: int, payload: Payload,
-             event: Optional[SensorEvent]) -> None:
-        """Take the rows of one entry at ticks row, row + period, ... up to
-        last, or ``event``, a row off the grid (``row`` None)."""
-        nonlocal k, t
-        if ts > t and k < count:
-            step_to(ts)
-        key = (source, lane)
-        run = runs.get(key)
-        if run is not None and row is not None and row > run[4] and (
-                run[1] is payload or run[1].__class__ is payload.__class__
-                and hold_of(source, payload) == run[5]):
-            gap = row - run[4]
-            if run[2] in (0, gap) and ts < run[6] and (
-                    row == last or period == gap and each_within(
-                        TickTimes(start, tick, range(row, last + 1, gap)),
-                        run[5])):
-                # the rows continue the run
-                if run[3] == run[4]:
-                    waiting.append(run)
-                    waiting.sort(key=itemgetter(0, 7))
-                run[1], run[2], run[4] = payload, gap, last
-                run[6] = start + last * tick + run[5]
-                return
-        # this row goes in alone, after the waiting rows before it
-        if waiting:
-            upto_k = row
-            if row is None:
-                upto_k = ticks.first_at(ts)
-                if ticks.time(upto_k) > ts:
-                    upto_k -= 1
-            feed(upto_k, ts)
-        fusion.ingest(event or SensorEvent(ts, source, payload))
-        if fusion.ingested:
-            # the ingest that raised it makes its own tick the next to step
-            k = ticks.first_at(ts)
-            t = ticks.time(k)
-        if row is None:
-            return
-        hold = hold_of(source, payload)
-        if hold is None:
-            runs.pop(key, None)
-        else:
-            runs[key] = [source, payload, 0, row, row, hold, ts + hold, lane]
-        if row < last:
-            row += period
-            heapq.heappush(pending, (start + row * tick, source, lane,
-                                     next(order), row, last, period, payload))
-
     def take_pending(before: tuple) -> None:
-        """Take the pending rows that come before ``before``."""
+        """Ingest the window pieces and rows that start before ``before``."""
+        nonlocal k, t
         while pending and pending[0] < before:
             ts, source, lane, _, row, last, period, payload = \
                 heapq.heappop(pending)
-            take(ts, source, lane, row, last, period, payload, None)
+            step_to(ts)
+            hold = hold_of(source, payload)
+            if row is None or hold is None:
+                end = row
+                fusion.ingest(SensorEvent(ts, source, payload))
+            else:
+                end = window_end(start, tick, range(row, last + 1, period or 1),
+                                 hold)
+                fusion.ingest_window(ts, start + end * tick, source, payload)
+            if fusion.ingested:
+                # the ingest that raised it makes its own tick the next to step
+                k = ticks.first_at(ts)
+                t = ticks.time(k)
+            if end != last:
+                end += period
+                heapq.heappush(pending, (start + end * tick, source, lane,
+                                         next(order), end, last, period,
+                                         payload))
 
     commands: List[LampCommand] = []
     k, t = 0, ticks.time(0)         # the next tick to step, and its time
@@ -1123,16 +1046,16 @@ def _decide(scenario: Scenario, events: EventRuns,
             if ts >= bound:
                 break
             taken += 1
-            if pending and pending[0][0] <= ts:
-                take_pending((ts, source, lane))
             if entry.__class__ is SensorEvent:
-                row = grid_tick(start, tick, ts)
-                take(ts, source, 0, row, row, 0, entry.payload, entry)
+                row = last = period = None
+                payload = entry.payload
             else:
                 row, period, n, _, payload, _ = entry
                 last = row + (n - 1) * period
                 growing[source, lane] = [entry, last]
-                take(ts, source, lane, row, last, period, payload, None)
+            take_pending((ts, source, lane))
+            heapq.heappush(pending, (ts, source, lane, next(order), row, last,
+                                     period, payload))
         take_pending((bound,))
         step_to(bound)
     return commands
@@ -1334,7 +1257,7 @@ _PROBE_BLOCK = 1024
 def write_probe_log(timeline: Timeline, stream) -> None:
     """Probe irradiance per tick as CSV, one column per probe, full float
     precision so identical runs serialize byte for byte: the ``repr`` of
-    each tick's time, as ``TickTimes.texts`` gives it, and of its values.
+    each tick's time, as ``tick_texts`` gives it, and of its values.
     Each run of ``ProbeRuns`` formats its values once and writes its ticks
     in blocks of up to ``_PROBE_BLOCK`` rows."""
     header = "timestamp_s," + ",".join(f"{name}_w_m2"
@@ -1344,8 +1267,7 @@ def write_probe_log(timeline: Timeline, stream) -> None:
     for first, end, values in timeline.probe_samples.runs():
         text = "," + ",".join(map(repr, values)) + "\n"
         for a in range(first, end, _PROBE_BLOCK):
-            stamps = TickTimes(start, tick,
-                               range(a, min(a + _PROBE_BLOCK, end))).texts()
+            stamps = tick_texts(start, tick, range(a, min(a + _PROBE_BLOCK, end)))
             stamps.append("")           # the last row's text ends the block
             stream.write(text.join(stamps))
 

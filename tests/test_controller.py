@@ -50,9 +50,7 @@ def snap(t: float, room: bool = False, zone1: bool = False, zone2: bool = False,
         desk_zone_occupied={"desk_1": zone1, "desk_2": zone2},
         approach_detected=approach,
         manual_kill=kill,
-        motion_active=motion,
-        last_motion_time=None,
-        contributing_sources=())
+        motion_active=motion)
 
 
 def vacant_state(t0: float = 0.0) -> ControllerState:

@@ -18,14 +18,14 @@ from uvcguard.fusion import (
     OccupancyFusion,
     PirMotion,
     SensorEvent,
-    TickTimes,
     UsPresence,
     distance_to_rssi,
-    each_within,
     event_to_row,
     read_event_log,
     rssi_to_distance,
     sort_events,
+    tick_texts,
+    window_end,
     write_event_log,
 )
 from uvcguard.room import default_room
@@ -82,7 +82,6 @@ def test_pir_hold_window_is_half_open():
     snap = f.snapshot(115.0)
     assert not snap.motion_active
     assert not snap.room_occupied
-    assert snap.last_motion_time == 100.0
 
 
 def test_us_hold_marks_the_aimed_zone():
@@ -133,18 +132,8 @@ def test_manual_kill_latches_until_rearm():
     f.ingest(ev(5.0, "kill_switch", ManualOff()))
     assert f.snapshot(5.0).manual_kill
     assert f.snapshot(10000.0).manual_kill
-    assert "kill_switch" in f.snapshot(10000.0).contributing_sources
     f.ingest(ev(10001.0, "kill_switch", ManualRearm()))
     assert not f.snapshot(10001.0).manual_kill
-
-
-def test_contributing_sources_sorted_and_windowed():
-    f = fusion()
-    f.ingest(ev(0.0, "pir_2", PirMotion()))
-    f.ingest(ev(1.0, "pir_1", PirMotion()))
-    assert f.snapshot(1.0).contributing_sources == ("pir_1", "pir_2")
-    assert f.snapshot(15.0).contributing_sources == ("pir_1",)
-    assert f.snapshot(16.0).contributing_sources == ()
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +316,8 @@ def test_an_ingest_that_leaves_ingested_down_changes_no_step_input(
 
 
 # ---------------------------------------------------------------------------
-# runs: one update for a run leaves what ingesting each row leaves
+# window pieces: one update for a piece leaves what ingesting each row leaves
 # ---------------------------------------------------------------------------
-
-def _state(f: OccupancyFusion) -> tuple:
-    return (f._latest_ts, dict(f._until), f._misc_until,
-            f._manual_kill, f._manual_source,
-            f._last_motion_time, dict(f._source_until), list(f.anomalies),
-            f.ingested)
-
 
 _RUN_PAYLOADS = [
     ("pir_1", PirMotion()),
@@ -368,6 +350,43 @@ def _twins(pir_hold, us_hold, ble_hold):
             OccupancyFusion(default_room(), params))
 
 
+def _pieces(f, start, tick, ks, source, payload):
+    """The window pieces of rows at ticks ``ks``, (first, last, source,
+    payload) each, cut at ``window_end`` as the decide pass cuts them; a
+    row whose hold is None is a piece alone."""
+    hold = f.hold(source, payload)
+    pieces = []
+    while ks:
+        end = ks[0] if hold is None else window_end(start, tick, ks, hold)
+        pieces.append((start + ks[0] * tick, start + end * tick, source, payload))
+        ks = ks[ks.index(end) + 1:]
+    return pieces
+
+
+def _same_as_rows(by_piece, by_row, pieces, rows, at_each_row):
+    """Feed ``by_piece`` the ``pieces`` in order of their start through
+    ``ingest_window`` and ``by_row`` the ``rows`` in time order through
+    ``ingest``: at each row time, or only at the last one unless
+    ``at_each_row``, both raise the same ``ingested`` and give the same step
+    inputs, and after the last row the same ``next_change_at`` and the same
+    anomalies."""
+    pieces = sorted(pieces, key=lambda piece: piece[0])
+    rows = sorted(rows, key=lambda row: row.timestamp)
+    times = sorted({row.timestamp for row in rows})
+    p = r = 0
+    for t in times if at_each_row else times[-1:]:
+        while p < len(pieces) and pieces[p][0] <= t:
+            by_piece.ingest_window(*pieces[p])
+            p += 1
+        while r < len(rows) and rows[r].timestamp <= t:
+            by_row.ingest(rows[r])
+            r += 1
+        assert by_piece.ingested == by_row.ingested
+        assert _step_inputs(by_piece.snapshot(t)) == _step_inputs(by_row.snapshot(t))
+    assert by_piece.next_change_at(t) == by_row.next_change_at(t)
+    assert by_piece.anomalies == by_row.anomalies
+
+
 @settings(max_examples=200, deadline=None)
 @given(_runs, _holds, _holds, _holds, _grid, st.booleans())
 # a run that starts inside a window which ends before its last row
@@ -375,51 +394,16 @@ def _twins(pir_hold, us_hold, ble_hold):
 def test_a_run_ingest_equals_ingesting_each_row(runs, pir_hold, us_hold,
                                                 ble_hold, grid, clear):
     start, tick = grid
-    by_run, by_row = _twins(pir_hold, us_hold, ble_hold)
+    by_piece, by_row = _twins(pir_hold, us_hold, ble_hold)
     k = 0
     for gap, index, period, count in runs:
         source, payload = _RUN_PAYLOADS[index]
-        times = TickTimes(start, tick, range(k + gap, k + gap + count * period,
-                                             period))
-        k = times.ks[-1]
-        by_run.ingest_runs([(times, source, payload)])
-        for ts in times:
-            by_row.ingest(SensorEvent(ts, source, payload))
-        assert _state(by_run) == _state(by_row)
-        if clear:
-            assert by_run.snapshot(times[-1]) == by_row.snapshot(times[-1])
-
-
-@settings(max_examples=200, deadline=None)
-@given(_runs, _holds, _holds, _holds, _grid)
-# far adverts after near ones: they hold no approach window open
-@example([(0, 5, 1, 3), (1, 6, 1, 3)], 1.0, 1.0, 15.0, (0.0, 0.1))
-def test_waiting_rows_end_their_window_where_ingesting_them_does(
-        runs, pir_hold, us_hold, ble_hold, grid):
-    # the first row of each run goes in; the rest wait, as in the decide
-    # pass, when each falls within the hold of the one before
-    start, tick = grid
-    waiter, eater = _twins(pir_hold, us_hold, ble_hold)
-    k = 0
-    for gap, index, period, count in runs:
-        source, payload = _RUN_PAYLOADS[index]
-        times = TickTimes(start, tick, range(k + gap, k + gap + count * period,
-                                             period))
-        k = times.ks[-1]
-        rest = [(TickTimes(start, tick, times.ks[1:]), source, payload)]
-        hold = waiter.hold(source, payload)
-        for f in (waiter, eater):
-            f.ingest(SensorEvent(times[0], source, payload))
-        if count > 1 and hold is not None and each_within(times, hold):
-            eater.ingest_runs(rest)
-            assert waiter.next_change_at(
-                times[0], [(source, payload, times[-1] + hold)]) == \
-                eater.next_change_at(times[0])
-            waiter.ingest_runs(rest)
-        elif count > 1:
-            for f in (waiter, eater):
-                f.ingest_runs(rest)
-        assert _state(waiter) == _state(eater)
+        ks = range(k + gap, k + gap + count * period, period)
+        k = ks[-1]
+        _same_as_rows(by_piece, by_row,
+                      _pieces(by_piece, start, tick, ks, source, payload),
+                      [SensorEvent(start + j * tick, source, payload) for j in ks],
+                      clear)
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,39 +413,43 @@ def test_waiting_rows_end_their_window_where_ingesting_them_does(
 @example([(25, 1, 1, 3), (5, 0, 1, 30)], 1.0, 0.0, 0.0, (0.0, 0.1))
 def test_interleaved_runs_ingest_as_their_rows_in_time_order(
         runs, pir_hold, us_hold, ble_hold, grid):
-    # runs that overlap in time, each fed after the rows before all of them
+    # runs that overlap in time, each after the rows before all of them
     start, tick = grid
-    by_run, by_row = _twins(pir_hold, us_hold, ble_hold)
-    batch = [(TickTimes(start, tick, range(gap, gap + count * period, period)),
-              *_RUN_PAYLOADS[index]) for gap, index, period, count in runs]
-    for f in (by_run, by_row):
+    by_piece, by_row = _twins(pir_hold, us_hold, ble_hold)
+    pieces, rows = [], []
+    for gap, index, period, count in runs:
+        source, payload = _RUN_PAYLOADS[index]
+        ks = range(gap, gap + count * period, period)
+        pieces += _pieces(by_piece, start, tick, ks, source, payload)
+        rows += [SensorEvent(start + j * tick, source, payload) for j in ks]
+    for f in (by_piece, by_row):
         f.ingest(SensorEvent(start, "pir_1", PirMotion()))
         f.snapshot(start)
-    by_run.ingest_runs(batch)
-    rows = [SensorEvent(ts, source, payload) for times, source, payload in batch
-            for ts in times]
-    for event in sorted(rows, key=lambda e: e.timestamp):
-        by_row.ingest(event)
-    assert _state(by_run) == _state(by_row)
+    _same_as_rows(by_piece, by_row, pieces, rows, True)
     with pytest.raises(EventOrderError):
-        by_run.ingest_runs([((start - tick,), "pir_1", PirMotion())])
+        by_piece.ingest_window(start - tick, start - tick, "pir_1", PirMotion())
 
 
 def test_a_run_holds_open_while_each_row_is_within_the_hold_before_it():
     f = OccupancyFusion(default_room(), FusionParams(pir_hold=0.3, us_hold=0.0))
-
-    def holds(times, source, payload):
-        hold = f.hold(source, payload)
-        return hold is not None and each_within(times, hold)
-
-    assert holds(TickTimes(0.0, 0.1, range(0, 50)), "pir_1", PirMotion())
-    assert holds(TickTimes(0.0, 0.1, range(0, 50, 2)), "pir_1", PirMotion())
+    pir = f.hold("pir_1", PirMotion())
+    assert window_end(0.0, 0.1, range(0, 50), pir) == 49
+    assert window_end(0.0, 0.1, range(0, 50, 2), pir) == 48
     # 0.1 * 3 rounds up past 0.3: the third tick is not before 0.3
-    assert not holds(TickTimes(0.0, 0.1, range(0, 50, 3)), "pir_1", PirMotion())
-    assert not holds((0.0, 0.1), "us_desk_2", UsPresence(1.2))
-    assert holds((0.0, 100.0), "us_desk_2", UsPresence(2.5))   # out of range
-    assert not holds((0.0, 0.1), "us_nowhere", UsPresence(1.2))
-    assert not holds((0.0, 0.1), "kill_switch", ManualOff())
+    assert window_end(0.0, 0.1, range(0, 50, 3), pir) == 0
+    # on an epoch grid, a hold half an ulp of the clock longer than the
+    # tick: some tick gaps round under it and some do not
+    epoch = 1_700_000_000.0
+    hold = 0.1 + 0.5 * math.ulp(epoch)
+    assert window_end(epoch, 0.1, range(0, 200), hold) == 1
+    assert window_end(epoch, 0.1, range(2, 200), hold) == 3
+    us = f.hold("us_desk_2", UsPresence(1.2))
+    assert window_end(0.0, 0.1, range(0, 2), us) == 0       # a zero hold
+    # an out-of-range return holds no window: its rows make one piece
+    out = f.hold("us_desk_2", UsPresence(2.5))
+    assert window_end(0.0, 100.0, range(0, 9), out) == 8
+    assert f.hold("us_nowhere", UsPresence(1.2)) is None
+    assert f.hold("kill_switch", ManualOff()) is None
 
 
 _TEXT_STARTS = st.one_of(
@@ -491,8 +479,7 @@ _TEXT_KS = st.one_of(
 # tenths just under and at 10 s
 @example(9.5, 0.1, range(0, 20, 1))
 def test_tick_time_texts_are_the_repr_of_each_time(start, tick, ks):
-    times = TickTimes(start, tick, ks)
-    assert times.texts() == [repr(start + k * tick) for k in ks]
+    assert tick_texts(start, tick, ks) == [repr(start + k * tick) for k in ks]
 
 
 def test_event_runs_read_as_their_rows():

@@ -441,7 +441,7 @@ def test_probe_samples_match_lamp_intervals():
 
 PROBE_LOG_RUNS = {
     # tick times on a grid of tenths, in whole seconds, and neither (a
-    # quarter-second tick from 5 s): each path of ``TickTimes.texts``
+    # quarter-second tick from 5 s): each path of ``tick_texts``
     "A_1200": lambda: dataclasses.replace(reference_scenarios()["A"],
                                           duration=1200.0),
     "midnight_3h": lambda: dataclasses.replace(midnight_scenario(),
@@ -741,8 +741,8 @@ NEXT_EVENT_RUNS = {
        for seed in range(20)},
     **{f"noisy_fuzz:{seed}": (lambda seed=seed: dataclasses.replace(
         random_walk_scenario(seed), noise=_NOISY)) for seed in range(5)},
-    # far adverts wait in runs with no window to hold open: were they
-    # counted as holding the approach window open, the cycle after the
+    # far adverts go in as window pieces that hold no window open: were
+    # they counted as holding the approach window open, the cycle after the
     # visit would never start
     **{f"fuzz:{seed}": (lambda seed=seed: random_walk_scenario(seed))
        for seed in (140, 266)},
@@ -883,14 +883,15 @@ def test_next_event_advance_equals_stepping_every_tick(run, monkeypatch):
         assert_same(name, output, stepped[name])
 
 
-@pytest.mark.parametrize("name, limit", [("A", 60), ("B", 20)])
+@pytest.mark.parametrize("name, limit", [("A", 60), ("B", 20),
+                                         ("zero_hold_B", 5)])
 def test_the_decide_pass_steps_only_where_the_picture_can_change(
         name, limit, monkeypatch):
-    # the ends of windows that waiting rows hold open, and the quiet gaps of
-    # desk lamps whose zone or motion window is open, are no steps: simulate
-    # and the replay of the run's own log each step a few dozen ticks of
-    # 72,000
-    scenario = reference_scenarios()[name]
+    # the ends of windows that later rows of a window piece hold open, the
+    # quiet gaps of desk lamps whose zone or motion window is open, and rows
+    # with a zero hold, which open no window, are no steps: simulate and the
+    # replay of the run's own log each step a few dozen ticks at most
+    scenario = NEXT_EVENT_RUNS[name]()
     steps: List[float] = []
     step = simulator.step
     monkeypatch.setattr(simulator, "step", lambda state, snapshot, now, policy: (
@@ -908,38 +909,43 @@ def test_the_decide_pass_steps_only_where_the_picture_can_change(
 
 def test_decide_holds_back_only_rows_within_the_hold(monkeypatch):
     # a PIR hold half an ulp of the epoch clock longer than the tick: of a
-    # walker's PIR rows, one a tick and each alone, some fall before the
-    # previous row's timestamp plus the hold and some do not. The commands
-    # cannot tell: a row that reopens the window lands on a tick that steps
-    # anyway, on which its row goes in before the snapshot
+    # walker's PIR rows, one a tick, some fall before the previous row's
+    # timestamp plus the hold and some do not. A window piece holds only
+    # rows of the first kind after its first. The commands cannot tell: a
+    # row that reopens the window starts a piece on a tick that steps
+    # anyway, on which it goes in before the snapshot
     walk = random_walk_scenario(0)
     hold = 0.1 + 0.5 * math.ulp(walk.start_time)
     scenario = dataclasses.replace(walk, fusion=FusionParams(pir_hold=hold))
-    last: Dict[str, float] = {}
-    pir_within: List[bool] = []
-    held_back: List[bool] = []
-    ingest, ingest_runs = OccupancyFusion.ingest, OccupancyFusion.ingest_runs
+    pieces: List[tuple] = []
+    ingest_window = OccupancyFusion.ingest_window
 
-    def ingest_alone(self, event):
-        if event.source.startswith("pir") and event.source in last:
-            pir_within.append(event.timestamp < last[event.source] + hold)
-        last[event.source] = event.timestamp
-        ingest(self, event)
+    def record(self, first, last, source, payload):
+        pieces.append((first, last, source))
+        ingest_window(self, first, last, source, payload)
 
-    def ingest_held_back(self, runs):
-        for times, source, payload in runs:
-            for ts in times:
-                held_back.append(ts < last[source] + self.hold(source, payload))
-                if source.startswith("pir"):
-                    pir_within.append(held_back[-1])
-                last[source] = ts
-        ingest_runs(self, runs)
-
-    monkeypatch.setattr(OccupancyFusion, "ingest", ingest_alone)
-    monkeypatch.setattr(OccupancyFusion, "ingest_runs", ingest_held_back)
-    commands = simulate(scenario).timeline.commands
+    monkeypatch.setattr(OccupancyFusion, "ingest_window", record)
+    result = simulate(scenario)
+    commands = result.timeline.commands
+    rows: Dict[str, List[float]] = {}
+    for event in result.timeline.events:
+        if event.source.startswith("pir"):
+            rows.setdefault(event.source, []).append(event.timestamp)
+    pir_within = [ts < prev + hold for times in rows.values()
+                  for prev, ts in zip(times, times[1:])]
     assert pir_within.count(True) > 100 and pir_within.count(False) > 100
-    assert held_back and all(held_back)
+    held_back = 0
+    for first, last, source in pieces:
+        if source in rows:
+            times = rows[source]
+            i, j = times.index(first), times.index(last)
+            assert all(ts < prev + hold
+                       for prev, ts in zip(times[i:j], times[i + 1:j + 1]))
+            held_back += j - i
+    # every PIR row goes in, each once
+    assert sum(map(len, rows.values())) == held_back + sum(
+        source in rows for _, _, source in pieces)
+    assert held_back > 100
     monkeypatch.undo()
     _rows_one_at_a_time(monkeypatch)
     assert simulate(scenario).timeline.commands == commands
@@ -1000,19 +1006,30 @@ def test_any_rows_read_as_sorted_rows_and_replay_as_rows(bursts, tick, rnd):
 
 def test_each_lane_of_a_receiver_waits_in_its_own_run(monkeypatch):
     # ble_door hears two seated carriers on every advert tick, two lanes.
-    # With holds longer than the periods, only first rows of runs go in
-    # alone: each lane's later adverts wait in that lane's run, also while
-    # the other lane's payloads change
-    alone: List[SensorEvent] = []
-    ingest = OccupancyFusion.ingest
-    monkeypatch.setattr(OccupancyFusion, "ingest",
-                        lambda self, event: (alone.append(event),
-                                             ingest(self, event))[1])
-    events = simulate(NEXT_EVENT_RUNS["two_seated_carriers"]()).timeline.events
-    heads = [SensorEvent(events.start + k * events.tick, source, payload)
-             for k, _, _, source, payload, _ in events.entries]
-    assert [e.source for e in alone].count("ble_door") == 2
-    assert all(event in heads for event in alone)
+    # With holds longer than the periods, each lane goes in as one window:
+    # its pieces cover its adverts, and each piece after the first starts
+    # within the hold of the one before, also while the other lane's
+    # payloads change
+    pieces: Dict[str, List[tuple]] = {}
+    ingest_window = OccupancyFusion.ingest_window
+
+    def record(self, first, last, source, payload):
+        if source == "ble_door":
+            pieces.setdefault(payload.beacon_id, []).append((first, last))
+        ingest_window(self, first, last, source, payload)
+
+    monkeypatch.setattr(OccupancyFusion, "ingest_window", record)
+    scenario = NEXT_EVENT_RUNS["two_seated_carriers"]()
+    events = simulate(scenario).timeline.events
+    hold = scenario.fusion.ble_stale_after
+    for beacon_id in ("worker_2", "carrier_2"):
+        adverts = [e.timestamp for e in events if e.source == "ble_door"
+                   and e.payload.beacon_id == beacon_id]
+        lane = pieces[beacon_id]
+        assert (lane[0][0], lane[-1][1]) == (adverts[0], adverts[-1])
+        assert all(first < last + hold and first > last
+                   for (_, last), (first, _) in zip(lane, lane[1:]))
+        assert len(lane) < len(adverts) / 100
 
 
 def test_an_edited_event_log_replays_its_runs_as_rows(tmp_path, monkeypatch):
