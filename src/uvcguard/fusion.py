@@ -20,13 +20,15 @@ in the order of their first rows and reads as a sequence of
 ``write_event_log`` merges the runs window by window and formats each
 run's rows from its ticks.
 
-A run reaches ``OccupancyFusion`` as window pieces: a piece is a stretch of
-its rows in which each row falls before the previous row's timestamp plus
-the hold, the comparison ``_open`` makes, so that only its first row can
-open a window. ``window_end`` finds where a piece ends, and
-``OccupancyFusion.ingest_window`` takes it whole at its first row's time,
-as ``ingest`` of each of its rows would: ``ingested`` rises if the first row
-opens a window, and the window then ends at the last row plus the hold.
+Each channel of fusion (motion, anomaly, each desk zone, approach) is a
+union of half-open windows ``[row, row + hold)`` (Allen, CACM 1983). Every
+row goes in through ``OccupancyFusion.ingest_window`` as a window piece: a
+stretch of a run's rows, each before the previous row's timestamp plus the
+hold, so that only its first row can open a window; a lone row is a piece
+of one row. ``window_end`` finds where a piece ends. A piece goes in at its
+first row's time as ``ingest`` of each of its rows would: ``ingested``
+rises if the first row opens a window, which ends at the last row plus the
+hold.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ logger = logging.getLogger(__name__)
 
 RSSI_FLOOR = -120.0
 RSSI_CEILING = 0.0
+# the channel of the fail-safe window that anomalies hold open: no desk id,
+# which is a free string, can equal it
+_ANOMALY = object()
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +171,8 @@ def grid_tick(start: float, tick: float, ts: float) -> Optional[int]:
 def window_end(start: float, tick: float, ks: range, hold: float) -> int:
     """The last tick of the window piece that starts at the first tick of
     ``ks``: up to it, each row at ``start + k * tick`` falls before the
-    previous row's time plus ``hold``, the comparison ``_open`` makes, so
-    that only the piece's first row can open a window."""
+    previous row's time plus ``hold``, the comparison ``ingest_window``
+    makes, so that only the piece's first row can open a window."""
     if hold == math.inf:
         return ks[-1]
     # each tick time, each sum and the gap below carry under an ulp of error
@@ -188,8 +193,6 @@ def window_end(start: float, tick: float, ks: range, hold: float) -> int:
 def _same_payload(a: Payload, b: Payload) -> bool:
     """Whether two payloads are equal and write the same row text: equal
     floats write alike, but for zeros of opposite sign."""
-    if a is b:
-        return True
     if a.__class__ is not b.__class__ or a != b:
         return False
     return all(math.copysign(1.0, x) == math.copysign(1.0, y)
@@ -476,31 +479,30 @@ class OccupancyFusion:
     """Single-owner fusion state: ingest events, then read snapshots.
 
     ``snapshot(now)`` is a pure function of the ingested event log and
-    ``now``. The one state it touches is ``ingested``, which ``snapshot``
-    clears and ``ingest`` sets only for an event that can change a field
-    the controller reads: one that opens a motion, anomaly, zone or
-    approach window closed at its timestamp, or a manual kill or rearm.
-    An event that extends an open window leaves it down: its caller asks
-    ``next_change_at`` again before it steps at the window's old end.
+    ``now``. ``_until`` holds the end of the window on each channel. The
+    one state ``snapshot`` touches is ``ingested``, which it clears and
+    ``ingest_window`` sets only for a piece that can change a field the
+    controller reads: one whose first row opens a window closed at its
+    timestamp, or a manual kill or rearm. A piece that extends an open
+    window leaves it down: its caller asks ``next_change_at`` again before
+    it steps at the window's old end.
     ``ingest_window`` leaves the state that ``ingest`` on each row of its
     piece leaves, with ``ingested`` and the anomaly log, except that later
     ingests and snapshots are checked against its first row, not its last.
     """
 
     def __init__(self, room: RoomModel, params: Optional[FusionParams] = None):
-        self.room = room
         self.params = params or FusionParams()
         self._sensors: Dict[str, SensorSpec] = {s.id: s for s in room.sensors}
         self._us_zone = {s.id: _aimed_zone(room, s) for s in room.sensors
                          if s.kind is SensorKind.ULTRASONIC}
         self._latest_ts = -math.inf
-        # the end of each hold window a row with a finite hold holds open:
-        # motion (PirMotion), each desk zone, approach (BleAdvert)
-        self._until: Dict[Union[str, type], float] = {
-            PirMotion: -math.inf, BleAdvert: -math.inf,
+        # the end of the hold window on each channel: motion (PirMotion),
+        # anomaly, each desk zone, approach (BleAdvert)
+        self._until: Dict[object, float] = {
+            PirMotion: -math.inf, _ANOMALY: -math.inf, BleAdvert: -math.inf,
             **{z.desk_id: -math.inf for z in room.desk_zones}}
         self._zones = [z.desk_id for z in room.desk_zones]
-        self._misc_until = -math.inf          # fail-safe window for anomalies
         self._manual_kill = False
         self.anomalies: List[Tuple[float, str, str]] = []
         self.ingested = False
@@ -515,90 +517,70 @@ class OccupancyFusion:
                       payload: Payload) -> None:
         """Ingest the rows of ``payload`` from ``source`` from ``first`` to
         ``last``, a window piece: each falls before the previous one's
-        timestamp plus its ``hold``, as ``window_end`` finds them."""
-        self._check_order(first, source)
-        self._latest_ts = first
-        self._apply(first, last, source, payload, self._hold(source, payload))
-
-    def _check_order(self, ts: float, source: str) -> None:
-        if ts < self._latest_ts:
+        timestamp plus its ``hold``, as ``window_end`` finds them; an
+        anomaly is logged at ``first``."""
+        if first < self._latest_ts:
             raise EventOrderError(
-                f"event from {source!r} at t={ts} arrived "
+                f"event from {source!r} at t={first} arrived "
                 f"after t={self._latest_ts}")
+        self._latest_ts = first
+        channel, hold, why = self._route(source, payload)
+        if hold is None:
+            self._manual_kill = channel is ManualOff
+            self.ingested = True
+            return
+        if why:
+            # fail safe: anything we cannot interpret counts as a detection
+            self.anomalies.append((first, source, why))
+            logger.warning("anomalous sensor event from %r at t=%s: %s",
+                           source, first, why)
+        if hold == math.inf:
+            return
+        until = self._until
+        end = until[channel]
+        # the first row starts a new window of the channel's union
+        if end <= first < first + hold:
+            self.ingested = True
+        until[channel] = max(end, last + hold)
 
     def hold(self, source: str, payload: Payload) -> Optional[float]:
         """How long a row of ``payload`` from ``source`` holds its window
         open, math.inf for a row that opens none; None for a row that goes
         in alone: an anomaly, which is logged, or a manual switch press. Of
         a window piece, only the first row can open a window."""
-        return self._hold(source, payload)
+        _, hold, why = self._route(source, payload)
+        return None if why else hold
 
-    def _hold(self, source: str, payload: Payload) -> Optional[float]:
+    def _route(self, source: str,
+               payload: Payload) -> Tuple[object, Optional[float], str]:
+        """(channel, hold, why) of a row of ``payload`` from ``source``: the
+        channel of ``_until`` whose window it holds open and for how long,
+        math.inf for a row that opens none; an anomaly holds the anomaly
+        channel open for ``pir_hold`` and says why it is one. A manual
+        switch press routes to its payload class, with hold None."""
         params = self.params
         if isinstance(payload, PirMotion):
-            return params.pir_hold
+            return PirMotion, params.pir_hold, ""
         if isinstance(payload, UsPresence):
             sensor = self._sensors.get(source)
             if sensor is not None and payload.distance > sensor.max_range:
-                return math.inf   # out-of-range return: no occupancy change
-            return None if self._us_zone.get(source) is None else params.us_hold
+                return None, math.inf, ""   # out-of-range return: no change
+            zone = self._us_zone.get(source)
+            if zone is None:
+                return _ANOMALY, params.pir_hold, \
+                    "ultrasonic return without an aimed zone"
+            return zone, params.us_hold, ""
         if isinstance(payload, BleAdvert):
             if not RSSI_FLOOR <= payload.rssi <= RSSI_CEILING:
-                return None
+                return _ANOMALY, params.pir_hold, \
+                    f"rssi {payload.rssi} outside [{RSSI_FLOOR}, {RSSI_CEILING}]"
             if rssi_to_distance(payload.rssi, params) < params.approach_radius:
-                return params.ble_stale_after
-            return math.inf
-        return None
-
-    def _apply(self, first: float, last: float, source: str, payload: Payload,
-               hold: Optional[float]) -> None:
-        """The windows after the rows of ``payload`` from ``source`` from
-        ``first`` to ``last``, each before the previous one's timestamp plus
-        ``hold``, its ``hold``: the first row may open a window, and the
-        window ends at the last row plus the hold. A row whose hold is None
-        comes alone."""
-        if hold is None:
-            if isinstance(payload, ManualOff):
-                self._manual_kill = True
-                self.ingested = True
-            elif isinstance(payload, ManualRearm):
-                self._manual_kill = False
-                self.ingested = True
-            elif isinstance(payload, UsPresence):
-                self._anomaly(first, source, "ultrasonic return without an aimed zone")
-            elif isinstance(payload, BleAdvert):
-                self._anomaly(first, source, f"rssi {payload.rssi} outside "
-                                             f"[{RSSI_FLOOR}, {RSSI_CEILING}]")
-            else:
-                self._anomaly(first, source,
-                              f"unrecognized payload {type(payload).__name__}")
-            return
-        if hold == math.inf:
-            return
-        # the desk zone an ultrasonic source is aimed at, or motion or approach
-        if isinstance(payload, UsPresence):
-            channel = self._us_zone[source]
-        else:
-            channel = PirMotion if isinstance(payload, PirMotion) else BleAdvert
-        until = self._until
-        until[channel] = self._open(until[channel], first, last, hold)
-
-    def _open(self, until: float, first: float, last: float,
-              hold: float) -> float:
-        """The hold window ``until`` extended by rows from ``first`` to
-        ``last``; raises ``ingested`` if the window was closed at ``first``
-        and opens."""
-        if until <= first < first + hold:
-            self.ingested = True
-        return max(until, last + hold)
-
-    def _anomaly(self, ts: float, source: str, why: str) -> None:
-        # fail safe: anything we cannot interpret counts as a detection
-        self.anomalies.append((ts, source, why))
-        logger.warning("anomalous sensor event from %r at t=%s: %s",
-                       source, ts, why)
-        hold = self.params.pir_hold
-        self._misc_until = self._open(self._misc_until, ts, ts, hold)
+                return BleAdvert, params.ble_stale_after, ""
+            return None, math.inf, ""
+        if isinstance(payload, (ManualOff, ManualRearm)):
+            return payload.__class__, None, ""
+        return _ANOMALY, params.pir_hold, \
+            f"unrecognized payload {type(payload).__name__}"
 
     # -- reading -----------------------------------------------------------
 
@@ -608,7 +590,7 @@ class OccupancyFusion:
                 f"snapshot at t={now} precedes ingested event at t={self._latest_ts}")
         self.ingested = False
         until = self._until
-        motion = now < until[PirMotion] or now < self._misc_until
+        motion = now < until[PirMotion] or now < until[_ANOMALY]
         zones = {zone_id: now < until[zone_id] for zone_id in self._zones}
         return OccupancySnapshot(
             timestamp=now,
@@ -625,8 +607,8 @@ class OccupancyFusion:
         events, those fields of ``snapshot(t)`` stay as they are at ``now``
         for every t before it. A window piece that went in ends its window
         at its last row plus the hold."""
-        return min((end for end in (self._misc_until, *self._until.values())
-                    if end > now), default=math.inf)
+        return min((end for end in self._until.values() if end > now),
+                   default=math.inf)
 
 
 def _aimed_zone(room: RoomModel, sensor: SensorSpec) -> Optional[str]:
@@ -685,8 +667,8 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
     and payload. Rows whose source and payload object repeat, as those of a
     run do, share one formatted tail. ``EventRuns`` are written in their
     order window by window, with no event built: each run's rows from its
-    ticks, and where the rows fill a window's ticks, one timestamp text per
-    tick; ``tick_texts`` formats the tick times."""
+    ticks, with one timestamp text per tick of the window, which
+    ``tick_texts`` formats."""
     stream.write(EVENT_LOG_HEADER + "\n")
     # (source, payload id) -> (payload, tail). An entry holds its payload,
     # so no other object can take that id while the entry lives.
@@ -714,12 +696,8 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
             stream.write(repr(event.timestamp) + tail(event.source, event.payload))
             continue
         # two slots a row, its timestamp and its tail, so that the window
-        # joins in one call; one timestamp text per tick, shared by the rows
-        # on it, when the window's rows fill its ticks
-        if len(ticks) <= sum(len(ks) for _, ks, _, _ in placed):
-            stamps = tick_texts(start, tick, ticks)
-        else:
-            stamps = None
+        # joins in one call; one timestamp text per tick, shared by its rows
+        stamps = tick_texts(start, tick, ticks)
         slots = [""] * (2 * len(ticks) * len(placed))
         for entry, ks, at, into in placed:
             first, stop, step = 2 * into.start, 2 * into.stop - 1, 2 * into.step
@@ -730,8 +708,7 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
             text = texts.get(id(entry))
             if text is None:
                 text = texts[id(entry)] = tail(entry[3], entry[4])
-            slots[first:stop:step] = stamps[at] if stamps is not None else \
-                tick_texts(start, tick, ks)
+            slots[first:stop:step] = stamps[at]
             slots[first + 1:stop + 1:step] = [text] * len(ks)
         stream.write("".join(slots))
 

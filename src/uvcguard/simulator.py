@@ -36,14 +36,14 @@ would only renew the recency stamps of open windows, which the next step
 restamps with the last skipped tick. A tick that only an expiry or a due
 brought is counted again from the windows of the moment before it steps. A
 desk lamp's quiet gap falls due only once its zone and motion windows have
-closed. A run goes into fusion as window pieces, through one
-``ingest_window`` each at its first row's time: a piece is a stretch of
-the run's rows in which each falls before the previous one's timestamp
-plus the hold, so that only its first row can open a window, and the
-window it holds open carries its true end from the moment it goes in.
-Anomalies, manual switch presses and rows off the tick grid go in one at a
-time through ``ingest``. Pieces and rows go in merged in (timestamp,
-source, lane) order of their first rows. While nobody inside moves
+closed. Every row goes into fusion through ``ingest_window``, in a window
+piece that goes in at its first row's time: a stretch of a run's rows in
+which each falls before the previous one's timestamp plus the hold, so
+that only its first row can open a window, and the window it holds open
+carries its true end from the moment it goes in. An anomaly, a manual
+switch press and a row off the tick grid are pieces of one row. Pieces go
+in merged in (timestamp, source, lane) order of their first rows. While
+nobody inside moves
 and nobody moves before the next waypoint, every tick emits the same sensor
 payloads and draws nothing. Such a still span runs up to that waypoint, the
 next PIR false positive, the end of an open latch or, with RSSI noise, the
@@ -660,11 +660,12 @@ class _TickGrid:
 
 class _Control:
     """Fusion and controller of one run: events go into ``fusion`` as they
-    happen, and ``decide`` steps the controller on a tick's snapshot when
-    the step can do something. ``next_k`` is the next tick that must step
-    even if no event arrives before it; ``stepped`` is the last tick that
-    stepped, ``last`` its snapshot and ``due`` the time from which a rule
-    of the controller may fire on that snapshot."""
+    happen, and ``decide`` steps the controller on a tick's snapshot.
+    ``next_k`` is the next tick that must step even if no event arrives
+    before it; ``stepped`` is the last tick that stepped, ``last`` its
+    snapshot and ``due`` the time from which a rule of the controller may
+    fire on that snapshot. The ticks before ``next_k`` need no step but
+    after an ingest that raises ``fusion.ingested``."""
 
     def __init__(self, scenario: Scenario, ticks: _TickGrid):
         start = scenario.start_time
@@ -679,22 +680,13 @@ class _Control:
             scenario.room, scenario.policy, start,
             assume_vacant_since=start if scenario.assume_vacant_at_start else None)
 
-    def idle(self, k: int) -> bool:
-        """Whether tick k cannot step: the ticks before ``next_k`` step only
-        after an ingest that raises ``fusion.ingested``. On such a tick
-        ``decide`` returns [] and touches nothing."""
-        return k < self.next_k and not self.fusion.ingested
-
     def decide(self, k: int, t: float) -> List[LampCommand]:
-        if self.idle(k):
-            return []
-        fusion = self.fusion
         if self.last is not None and self.stepped < k - 1:
             # a step on each skipped tick would have stamped the windows open
             # at the last one: none closes before next_k, so all were still
             # open at tick k - 1
             stamp_recency(self.state, self.last, self.ticks.time(k - 1))
-        snapshot = fusion.snapshot(t)
+        snapshot = self.fusion.snapshot(t)
         self.state, commands = step(self.state, snapshot, t, self.policy)
         self.stepped, self.last = k, snapshot
         # 1e-6 s early: the candidates carry rounding of a few ulps
@@ -952,20 +944,20 @@ def _decide(scenario: Scenario, events: EventRuns,
             checkpoints: Iterable[float]) -> List[LampCommand]:
     """The decide pass over ``EventRuns`` on the scenario's tick grid. At
     each checkpoint K, every row up to tick K has been added, and rows after
-    it may have been: it takes the entries and the rows the runs gained up
-    to tick K, and steps the ticks up to K. Tick k steps once the rows up to
-    its time are in; the ticks after it before ``next_k`` only feed fusion,
-    up to the first ingest that raises ``ingested``.
+    it may have been: it queues the entries and the rows the runs gained
+    since the last one, and steps the ticks up to K. Tick k steps once the
+    rows up to its time are in; the ticks after it before ``next_k`` only
+    feed fusion, up to the first ingest that raises ``ingested``.
 
-    The rows of an entry go in as window pieces, in (timestamp, source,
-    lane) order of their first rows: each piece through one
-    ``ingest_window`` at its first row's time, up to the row ``window_end``
-    finds, and its own tick steps if it raises ``ingested``. A row whose
-    hold is None and a row off the grid go in alone through ``ingest``. A
-    tick that only the end of a window or a controller rule due brought,
-    with no ingest that raised ``ingested``, steps only if it still comes
-    first when counted again from the windows as they are then: the pieces
-    that went in since may have moved window ends later."""
+    Every row goes in through ``ingest_window`` in a window piece, in
+    (timestamp, source, lane) order of the pieces' first rows: a piece goes
+    in at its first row's time, up to the row ``window_end`` finds, and its
+    own tick steps if it raises ``ingested``. A row whose hold is None and a
+    row off the grid are pieces of one row. A tick that only the end of a
+    window or a controller rule due brought, with no ingest that raised
+    ``ingested``, steps only if it still comes first when counted again
+    from the windows as they are then: the pieces that went in since may
+    have moved window ends later."""
     ticks = _TickGrid(scenario)
     control = _Control(scenario, ticks)
     fusion = control.fusion
@@ -997,31 +989,6 @@ def _decide(scenario: Scenario, events: EventRuns,
             k = max(k + 1, control.next_k)
             t = ticks.time(k)
 
-    def take_pending(before: tuple) -> None:
-        """Ingest the window pieces and rows that start before ``before``."""
-        nonlocal k, t
-        while pending and pending[0] < before:
-            ts, source, lane, _, row, last, period, payload = \
-                heapq.heappop(pending)
-            step_to(ts)
-            hold = hold_of(source, payload)
-            if row is None or hold is None:
-                end = row
-                fusion.ingest(SensorEvent(ts, source, payload))
-            else:
-                end = window_end(start, tick, range(row, last + 1, period or 1),
-                                 hold)
-                fusion.ingest_window(ts, start + end * tick, source, payload)
-            if fusion.ingested:
-                # the ingest that raised it makes its own tick the next to step
-                k = ticks.first_at(ts)
-                t = ticks.time(k)
-            if end != last:
-                end += period
-                heapq.heappush(pending, (start + end * tick, source, lane,
-                                         next(order), end, last, period,
-                                         payload))
-
     commands: List[LampCommand] = []
     k, t = 0, ticks.time(0)         # the next tick to step, and its time
     taken = 0                       # entries taken
@@ -1037,26 +1004,39 @@ def _decide(scenario: Scenario, events: EventRuns,
                                          entry[5], next(order), row, last,
                                          entry[1], entry[4]))
                 grown[1] = last
-        while taken < len(entries):
-            entry = entries[taken]
+        # the entries added since the last one: each starts by it, but a
+        # run's later rows may not
+        for entry in entries[taken:]:
             if entry.__class__ is SensorEvent:
-                ts, source, lane = entry.timestamp, entry.source, 0
+                heapq.heappush(pending, (entry.timestamp, entry.source, 0,
+                                         next(order), None, None, None,
+                                         entry.payload))
             else:
-                ts, source, lane = start + entry[0] * tick, entry[3], entry[5]
-            if ts >= bound:
-                break
-            taken += 1
-            if entry.__class__ is SensorEvent:
-                row = last = period = None
-                payload = entry.payload
-            else:
-                row, period, n, _, payload, _ = entry
+                row, period, n, source, payload, lane = entry
                 last = row + (n - 1) * period
                 growing[source, lane] = [entry, last]
-            take_pending((ts, source, lane))
-            heapq.heappush(pending, (ts, source, lane, next(order), row, last,
-                                     period, payload))
-        take_pending((bound,))
+                heapq.heappush(pending, (start + row * tick, source, lane,
+                                         next(order), row, last, period,
+                                         payload))
+        taken = len(entries)
+        while pending and pending[0] < (bound,):
+            ts, source, lane, _, row, last, period, payload = \
+                heapq.heappop(pending)
+            step_to(ts)
+            hold = hold_of(source, payload)
+            end = row if row is None or hold is None else \
+                window_end(start, tick, range(row, last + 1, period or 1), hold)
+            fusion.ingest_window(ts, ts if end == row else start + end * tick,
+                                 source, payload)
+            if fusion.ingested:
+                # the ingest that raised it makes its own tick the next to step
+                k = ticks.first_at(ts)
+                t = ticks.time(k)
+            if end != last:
+                end += period
+                heapq.heappush(pending, (start + end * tick, source, lane,
+                                         next(order), end, last, period,
+                                         payload))
         step_to(bound)
     return commands
 

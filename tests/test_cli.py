@@ -356,6 +356,18 @@ def test_reference_suite_passes_end_to_end(tmp_path, capsys):
     assert summary["failing_seeds"] == []
 
 
+def test_reference_suite_writes_the_same_fuzz_summary_with_workers(tmp_path):
+    # a pool of two workers runs the walks of one process, in seed order
+    summaries = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs_{jobs}"
+        assert main(["reference-suite", "--fuzz", "6", "--jobs", jobs,
+                     "--out", str(out)]) == EXIT_OK
+        summaries.append((out / "fuzz_summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])["runs"] == 6
+
+
 @pytest.mark.parametrize("flags", [["--tz-offset", "nan"],
                                    ["--room", "missing.json"]])
 def test_reference_suite_checks_its_inputs_before_writing(flags, tmp_path,

@@ -477,7 +477,11 @@ def test_skipping_control_matches_a_twin_that_steps_every_tick(
             i += 1
         twin.next_k = k           # the twin steps on every tick
         commands = twin.decide(k, t)
-        assert skipper.decide(k, t) == commands
+        if k < skipper.next_k and not skipper.fusion.ingested:
+            # the skipper skips the tick, as the decide pass does
+            assert commands == []
+        else:
+            assert skipper.decide(k, t) == commands
         every_tick.extend(commands)
         if skipper.stepped == k:
             assert skipper.state == twin.state
@@ -537,7 +541,7 @@ def test_replay_of_runs_equals_replay_row_by_row(bursts, tick, vacant, pir_hold,
     events = sort_events(events)
     by_run = replay(scenario, events)
     with pytest.MonkeyPatch.context() as patch:
-        # no run holds open: every row goes in alone, as ingest takes it
+        # no run holds open: every row goes in alone, as a piece of one row
         patch.setattr(OccupancyFusion, "hold", lambda *args: None)
         assert replay(scenario, events) == by_run
 

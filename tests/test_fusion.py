@@ -41,6 +41,10 @@ def ev(t: float, source: str, payload) -> SensorEvent:
     return SensorEvent(timestamp=t, source=source, payload=payload)
 
 
+class Garbage:
+    """A payload that fusion does not recognize."""
+
+
 # ---------------------------------------------------------------------------
 # path-loss model
 # ---------------------------------------------------------------------------
@@ -150,9 +154,6 @@ def test_out_of_band_rssi_is_fail_safe():
 
 
 def test_unknown_payload_is_fail_safe():
-    class Garbage:
-        pass
-
     f = fusion()
     f.ingest(SensorEvent(3.0, "mystery", Garbage()))
     assert f.snapshot(3.0).room_occupied
@@ -235,6 +236,7 @@ def _step_inputs(snap):
 _any_payload = st.one_of(
     _payload_strategy(),
     st.just(("ble_door", BleAdvert("b", 5.0))),       # anomaly
+    st.just(("mystery", Garbage())),                  # anomaly
     st.just(("pir_1", ManualOff())),
     st.just(("pir_1", ManualRearm())),
 )
@@ -328,6 +330,7 @@ _RUN_PAYLOADS = [
     ("ble_door", BleAdvert("badge", distance_to_rssi(3.0, PARAMS))),
     ("ble_door", BleAdvert("badge", distance_to_rssi(8.0, PARAMS))),
     ("ble_door", BleAdvert("badge", 5.0)),                   # outside its band
+    ("mystery", Garbage()),                                  # unrecognized
     ("kill_switch", ManualOff()),
     ("kill_switch", ManualRearm()),
 ]

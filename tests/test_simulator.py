@@ -839,7 +839,7 @@ def _outputs(scenario, after_each=lambda: None):
 
 def _rows_one_at_a_time(patch) -> None:
     """Every run the run builder makes has one row, and the decide pass
-    holds no run open: each row goes in alone through ``ingest``."""
+    holds no run open: each row goes in alone, as a piece of one row."""
     def one_row_per_run(self, k, period, count, source, payload):
         self.extend([SensorEvent(self.start + (k + j * period) * self.tick,
                                  source, payload) for j in range(count)])
