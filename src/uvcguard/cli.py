@@ -463,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first fuzz seed (default 0)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for the randomized walks")
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--tz-offset", type=float,
                    help="override the local-midnight offset (s)")
     p.set_defaults(func=cmd_reference_suite)

@@ -55,14 +55,16 @@ its last tick, so that every latch ends where stepping each tick leaves
 it. As it moves the occupants, the sensing pass
 records the run's track: each tick from which someone's entry clock
 changes. safety_check builds the same track by a walk over the kinematics
-alone. The exposure pass reads the entry clocks from the track. While no
-lamp the audit acts on is lit (none that emits downward, no ceiling lamp
-and no desk lamp guarding a zone) it jumps to the next command or start or
-end of a forced window, whoever moves. While one is lit, it jumps while
-nobody moves, up to the next command, waypoint or start or end of a forced
-window, adding the dose of the skipped ticks at once, unless a ceiling lamp
-is lit with anyone inside or a desk lamp over someone in its zone. The
-output is the same byte for byte as stepping every tick.
+alone. The exposure pass reads the command log and the forced windows
+once, into the lamps lit as runs: one from tick 0 and one from each tick
+on which the set of lamps lit changes (``_lamp_runs``). It reads the entry
+clocks from the track. It skips every run in which no lamp the audit acts
+on is lit (none that emits downward, no ceiling lamp and no desk lamp
+guarding a zone), whoever moves. Within a run in which one is lit, it
+jumps while nobody moves, up to the next waypoint or the run's end, adding
+the dose of the skipped ticks at once, unless a ceiling lamp is lit with
+anyone inside or a desk lamp over someone in its zone. The output is the
+same byte for byte as stepping every tick.
 
 Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 """
@@ -345,19 +347,11 @@ class ProbeRuns:
 
     __slots__ = ("firsts", "values", "count")
 
-    def __init__(self, count: int = 0):
-        self.firsts: List[int] = []
-        self.values: List[Tuple[float, ...]] = []
+    def __init__(self, count: int = 0, firsts: Sequence[int] = (),
+                 values: Sequence[Tuple[float, ...]] = ()):
+        self.firsts = list(firsts)
+        self.values = list(values)
         self.count = count
-
-    def switch(self, k: int, values: Tuple[float, ...]) -> None:
-        """The ticks from k on hold ``values``; k is no earlier than the
-        last run's first tick."""
-        if self.firsts and self.firsts[-1] == k:
-            self.values[-1] = values
-        else:
-            self.firsts.append(k)
-            self.values.append(values)
 
     def runs(self) -> Iterator[Tuple[int, int, Tuple[float, ...]]]:
         """(first tick, end tick, values) of each run, in tick order."""
@@ -1084,83 +1078,67 @@ def replay(scenario: Scenario, events: Iterable[SensorEvent]) -> List[LampComman
 # the exposure pass: lamps, probes and the audit from the command log
 # ---------------------------------------------------------------------------
 
-class _LampState:
-    """Lamps lit over each tick: the controller's commands plus the
-    ``unsafe_force_on`` windows. ``on`` lists them in switch-on order, ties
-    in room order, so sums over it repeat bit for bit whatever the hash
-    seed. On-intervals are tick-index pairs. ``switches`` holds the ticks on
-    which a forced window starts or ends, the next one last: the lamps lit
-    change only on them and after a command."""
-
-    def __init__(self, scenario: Scenario, ticks: _TickGrid):
-        start = scenario.start_time
-        self.lamps = scenario.room.lamps
-        self.force_on = {lamp: tuple((start + s, start + e) for s, e in spans)
-                         for lamp, spans in scenario.unsafe_force_on.items()
-                         if spans}
-        self.switches = sorted({ticks.first_at(t) for spans in self.force_on.values()
-                                for window in spans for t in window}, reverse=True)
-        self.commanded: Set[str] = set()
-        self.pending = False
-        self.on: Dict[str, LampSpec] = {}
-        self.on_since: Dict[str, int] = {}
-        self.spans: Dict[str, List[Tuple[int, int]]] = {}
-
-    def apply(self, cmd: LampCommand) -> None:
-        if cmd.action is LampAction.TURN_ON:
-            self.commanded.add(cmd.lamp_id)
-        else:
-            self.commanded.discard(cmd.lamp_id)
-        self.pending = True
-
-    def settle(self, k: int, t: float) -> bool:
-        """Bring ``on`` up to date at tick k, time t; True if it changed."""
-        switches = self.switches
-        if not self.pending and not (switches and switches[-1] <= k):
-            return False
-        while switches and switches[-1] <= k:
-            switches.pop()
-        self.pending = False
-        lit = {l.id: l for l in self.lamps if l.id in self.commanded or any(
-            s <= t < e for s, e in self.force_on.get(l.id, ()))}
-        if lit.keys() == self.on.keys():
-            return False
-        for lamp_id in self.on:
-            if lamp_id not in lit:
-                self.spans.setdefault(lamp_id, []).append(
-                    (self.on_since.pop(lamp_id), k))
-        for lamp_id in lit:
-            self.on_since.setdefault(lamp_id, k)
-        self.on = {lamp_id: lit[lamp_id] for lamp_id in self.on_since}
-        return True
-
-    def close(self, k: int) -> Dict[str, List[Tuple[int, int]]]:
-        """All on-intervals, the open ones ended at tick k."""
-        for lamp_id, since in sorted(self.on_since.items()):
-            self.spans.setdefault(lamp_id, []).append((since, k))
-        return self.spans
+def _lamp_runs(scenario: Scenario, commands: Sequence[LampCommand],
+               ticks: _TickGrid) -> List[Tuple[int, Dict[str, LampSpec]]]:
+    """The lamps lit, as runs (first tick, lamps): one from tick 0 and one
+    from each tick on which the set of lamps lit changes. The commands act
+    from the first tick at or after their timestamps, in log order; one for
+    a lamp the room lacks is a ``ValueError``. A run lists its lamps in
+    switch-on order, ties in room order, so sums over them repeat bit for
+    bit whatever the hash seed."""
+    lamps = scenario.room.lamps
+    known = {l.id for l in lamps}
+    for cmd in commands:
+        if cmd.lamp_id not in known:
+            raise ValueError(f"command at {cmd.timestamp!r} s names lamp "
+                             f"{cmd.lamp_id!r}, which the room lacks")
+    start = scenario.start_time
+    forced = {lamp: [(start + s, start + e) for s, e in spans]
+              for lamp, spans in scenario.unsafe_force_on.items()}
+    # the lamps lit can change only on a tick that applies a command or on
+    # which a forced window starts or ends
+    changes = {0, *(ticks.first_at(cmd.timestamp) for cmd in commands)}.union(
+        ticks.first_at(t) for spans in forced.values()
+        for window in spans for t in window)
+    commanded: Dict[str, bool] = {}
+    on: Dict[str, LampSpec] = {}
+    runs: List[Tuple[int, Dict[str, LampSpec]]] = []
+    ci = 0
+    for k in sorted(changes - {ticks.count}):
+        t = ticks.time(k)
+        while ci < len(commands) and commands[ci].timestamp <= t:
+            commanded[commands[ci].lamp_id] = commands[ci].action is LampAction.TURN_ON
+            ci += 1
+        lit = {l.id: l for l in lamps if commanded.get(l.id) or any(
+            s <= t < e for s, e in forced.get(l.id, ()))}
+        if not runs or lit.keys() != on.keys():
+            # lamps still lit keep their places, and those that switch on follow
+            on = {**{i: l for i, l in on.items() if i in lit}, **lit}
+            runs.append((k, on))
+    return runs
 
 
 def _expose(scenario: Scenario, commands: Sequence[LampCommand],
             clocks: Iterable[Tuple[int, int, Optional[float]]]) -> Tuple[
         ProbeRuns, Dict[str, List[Tuple[int, int]]], SafetyReport]:
-    """The lamps a command log lights, stepped along the tick grid: each
-    tick's probe values (a run from each tick on which the lamps lit
-    change), the on-intervals as tick-index pairs, and the audit of each
-    tick's movement segment against the lamps lit over it, with the entry
-    clocks of the run's track. A command acts from the first tick at or
-    after its timestamp, in log order."""
+    """The lamps a command log lights, run by run of ``_lamp_runs``: the
+    probe values of each run, the on-intervals as tick-index pairs, and
+    the audit of each tick's movement segment against the lamps lit over
+    it, with the entry clocks of the run's track. It audits only the runs
+    in which a lamp the audit acts on is lit. On-intervals are keyed in the
+    order their lamps first switch off, then the lamps still lit at the
+    end by id: the dose grid adds them in that order."""
     ticks = _TickGrid(scenario)
-    lamps = _LampState(scenario, ticks)
+    runs = _lamp_runs(scenario, commands, ticks)
     occupants = _Occupants(scenario, ticks)
     audit = _SafetyAccumulator(scenario, occupants.ids)
     probe_positions = [p for _, p in _probe_points(scenario.room)]
-    samples = ProbeRuns(ticks.count)
-    samples.switch(0, tuple(0.0 for _ in probe_positions))
+    values: List[Tuple[float, ...]] = []
+    spans: Dict[str, List[Tuple[int, int]]] = {}
+    since: Dict[str, int] = {}      # the lamps lit, in switch-on order
     entered: List[Optional[float]] = [None] * len(occupants.ids)
     changes = iter(clocks)
     change = next(changes, None)
-    ci = 0
 
     def clocks_at(k: int) -> List[Optional[float]]:
         nonlocal change
@@ -1170,48 +1148,42 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand],
             change = next(changes, None)
         return entered
 
-    def next_switch() -> int:
-        """The next tick on which the lamps lit may change."""
-        stop = ticks.first_at(commands[ci].timestamp) \
-            if ci < len(commands) else ticks.count
-        return min(stop, lamps.switches[-1]) if lamps.switches else stop
-
-    k = 0
-    while k < ticks.count:
-        t = ticks.time(k)
-        while ci < len(commands) and commands[ci].timestamp <= t:
-            lamps.apply(commands[ci])
-            ci += 1
-        if lamps.settle(k, t):
-            on_lamps = list(lamps.on.values())
-            samples.switch(k, tuple(irradiance_at_point(on_lamps, p) if on_lamps
-                                    else 0.0 for p in probe_positions))
-        if not audit.acts_on(lamps.on):
+    ends = [first for first, _ in runs[1:]] + [ticks.count]
+    for (k, on), end in zip(runs, ends):
+        for lamp_id in [i for i in since if i not in on]:
+            spans.setdefault(lamp_id, []).append((since.pop(lamp_id), k))
+        for lamp_id in on:
+            since.setdefault(lamp_id, k)
+        on_lamps = list(on.values())
+        values.append(tuple(irradiance_at_point(on_lamps, p) if on_lamps
+                            else 0.0 for p in probe_positions))
+        if not audit.acts_on(on):
             # nothing lit that the audit acts on: whoever moves, it can
             # record nothing, and the track keeps the entry clocks
-            k = next_switch()
             continue
-
-        # -- cross ticks on which nobody moves and no lamp switches ----------
-        if occupants.k < k:
-            occupants.move_to(k)
-        stop = occupants.parked_until()
-        if stop > k + 1:
-            stop = min(stop, next_switch())
-        if stop > k + 1 and audit.still(t, clocks_at(k), occupants.positions,
-                                        occupants.insides, lamps.on, stop - 1 - k):
-            # tick stop-1 audits the move into tick stop
-            k = stop - 1
+        while k < end:
             t = ticks.time(k)
+            # -- cross ticks of the run on which nobody moves ----------------
+            if occupants.k < k:
+                occupants.move_to(k)
+            stop = min(occupants.parked_until(), end)
+            if stop > k + 1 and audit.still(t, clocks_at(k), occupants.positions,
+                                            occupants.insides, on, stop - 1 - k):
+                # tick stop-1 audits the move into tick stop
+                k = stop - 1
+                t = ticks.time(k)
 
-        clocks_at(k)
-        pos_a, in_a = occupants.positions, occupants.insides
-        occupants.move_to(k + 1)
-        for i, occupant_id in enumerate(occupants.ids):
-            audit.observe(t, occupant_id, entered[i], pos_a[i], in_a[i],
-                          occupants.positions[i], occupants.insides[i], lamps.on)
-        k += 1
-    return samples, lamps.close(ticks.count), audit.report()
+            clocks_at(k)
+            pos_a, in_a = occupants.positions, occupants.insides
+            occupants.move_to(k + 1)
+            for i, occupant_id in enumerate(occupants.ids):
+                audit.observe(t, occupant_id, entered[i], pos_a[i], in_a[i],
+                              occupants.positions[i], occupants.insides[i], on)
+            k += 1
+    for lamp_id, first in sorted(since.items()):
+        spans.setdefault(lamp_id, []).append((first, ticks.count))
+    samples = ProbeRuns(ticks.count, [first for first, _ in runs], values)
+    return samples, spans, audit.report()
 
 
 def safety_check(timeline: Timeline, scenario: Scenario) -> SafetyReport:
@@ -1219,7 +1191,8 @@ def safety_check(timeline: Timeline, scenario: Scenario) -> SafetyReport:
     exposure pass over the logged commands, any forced-on test windows and
     the scripted occupant motion, whose track a walk over the kinematics
     alone builds as far as the audit reads it. On commands read back from
-    ``commands.csv`` it audits the log as written."""
+    ``commands.csv`` it audits the log as written; a command for a lamp
+    the room lacks is a ``ValueError``."""
     track = _Occupants(scenario, _TickGrid(scenario), track=True)
     return _expose(scenario, timeline.commands, track.walk())[2]
 

@@ -491,6 +491,28 @@ def test_probe_samples_hold_a_run_per_lamp_switch():
         len(timeline.commands) + 1
 
 
+def test_lamps_lit_keep_their_switch_on_order():
+    # the hourly schedule lights upper_room at tick 0, and desk_2, ceiling_2
+    # and ceiling_1 are forced on in that order, against room order: the
+    # desk probe sums them in switch-on order, and in room order the sum
+    # differs in its last bit. On-intervals are keyed in the order their
+    # lamps first switch off, then the lamps still lit by id
+    sc = make_scenario([], duration=10.0, unsafe_force_on={
+        "desk_2": ((1.0, 10.0),), "ceiling_2": ((2.0, 5.0),),
+        "ceiling_1": ((3.0, 10.0),)})
+    timeline = simulate(sc).timeline
+    lamps = {l.id: l for l in ROOM.lamps}
+    desk_probe = Point3(2.15, 5.0, simulator.PROBE_HEIGHT)
+    assert timeline.probe_samples[40][1] == irradiance_at_point(
+        [lamps[i] for i in ("upper_room", "desk_2", "ceiling_2", "ceiling_1")],
+        desk_probe)
+    assert timeline.probe_samples[40][1] != irradiance_at_point(
+        [lamps[i] for i in ("ceiling_1", "ceiling_2", "desk_2", "upper_room")],
+        desk_probe)
+    assert list(timeline.lamp_intervals) == [
+        "ceiling_2", "ceiling_1", "desk_2", "upper_room"]
+
+
 def test_dose_grid_matches_interval_accumulation():
     result = simulate(make_scenario([walker()]))
     assert result.timeline.lamp_intervals   # the run had lamps on
@@ -648,6 +670,25 @@ def test_safety_check_agrees_with_the_engine():
                       11, 54, 30, 35, 63, 50, 14, 88, 12, 176]
 
 
+def test_a_command_for_a_lamp_the_room_lacks_is_an_error():
+    # scenario C's ceiling-lamp commands, renamed in the written log: the
+    # audit would otherwise pass a log whose lamps it never lit
+    sc = reference_scenarios()["C"]
+    result = simulate(sc)
+    renamed = [dataclasses.replace(cmd, lamp_id="ceiling_9")
+               if cmd.lamp_id.startswith("ceiling_") else cmd
+               for cmd in result.timeline.commands]
+    first = next(cmd for cmd in renamed if cmd.lamp_id == "ceiling_9")
+    log = io.StringIO()
+    write_command_log(renamed, log)
+    timeline = dataclasses.replace(
+        result.timeline, commands=read_command_log(io.StringIO(log.getvalue())))
+    with pytest.raises(ValueError) as caught:
+        safety_check(timeline, sc)
+    assert "'ceiling_9'" in str(caught.value)
+    assert repr(first.timestamp) in str(caught.value)
+
+
 def door_crosser() -> OccupantScript:
     """Crosses the door plane at 20.53 s, mid-tick, and sits at desk 2."""
     return OccupantScript("crosser", carries_beacon=False, waypoints=(
@@ -791,6 +832,12 @@ NEXT_EVENT_RUNS = {
     "forced_desk_B": lambda: dataclasses.replace(
         reference_scenarios()["B"], duration=1500.0,
         unsafe_force_on={"desk_2": ((300.0, 400.0),)}),
+    # the controller's desk_2 turn-on and turn-off fall inside a window
+    # that forces it on: they change nothing lit, and the seated worker's
+    # still spans cross their ticks
+    "forced_desk_A": lambda: dataclasses.replace(
+        reference_scenarios()["A"], duration=1200.0,
+        unsafe_force_on={"desk_2": ((450.0, 850.0),)}),
     # no still span may start while the walker moves
     "sitter_and_walker": lambda: dataclasses.replace(
         reference_scenarios()["B"], duration=1500.0,
