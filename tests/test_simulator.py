@@ -22,7 +22,7 @@ from uvcguard import simulator
 from uvcguard.controller import (CyclePolicy, read_command_log,
                                  write_command_log)
 from uvcguard.dosimetry import DoseGrid, accumulate_dose, irradiance_at_point
-from uvcguard.cli import EXIT_OK, main
+from uvcguard.cli import EXIT_OK, _safety_doc, main
 from uvcguard.fusion import (EVENT_LOG_HEADER, BleAdvert, EventRuns,
                              FusionParams, ManualOff, ManualRearm,
                              OccupancyFusion, PirMotion, SensorEvent,
@@ -764,6 +764,55 @@ def test_the_walked_track_is_the_sensing_pass_track():
 
 
 # ---------------------------------------------------------------------------
+# exposure bytes: the dose grid and the audit, pinned
+# ---------------------------------------------------------------------------
+
+def exposure_texts(result) -> List[str]:
+    """A run's ``dose_grid.csv`` and ``safety.json``, as the CLI writes them."""
+    grid = io.StringIO()
+    write_dose_grid_csv(result.dose_grid, grid)
+    return [grid.getvalue(), json.dumps(_safety_doc(result), indent=2) + "\n"]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# the SHA-256 of dose_grid.csv and of safety.json: the oracle compares two
+# modes of the same code, and the benchmark digests neither file
+EXPOSURE_DIGESTS = {
+    "A": ("63c203f0c3ab6be174dc0fe0d47b245847e1a5e6f643f4316cce8c6776840f78",
+          "097c6480c9eb8e56268ff9e81345024f82fe44f689f8ce426fa378a3657720cf"),
+    "B": ("cdb460279d70719d182c713d184dd5be9e64d2346fc50f35eeb415b0b1eafb69",
+          "950f86ae5034a67db24f7fed5436aa422d96d46c04d6736bf2e85873be2d689e"),
+    "C": ("1576bc8c644686af9ac40215e5dd7661a36174f7c3d9f7564b9ec1ee3036697f",
+          "e221d154d36c96228aeef4059d79f6d7b2be3b6130be8615569b2d8e807f49eb"),
+    "D": ("5a352be58423a607b7f686272d39bed3e01bab30eb392c7b53a01d97b4a77a6a",
+          "e3b3b94e30365927f1ae6de6aec1e8eba558c37ec1709490eb80a165a910a20b"),
+    "midnight": (
+        "937be49ddd0030e608d97560f8674d71a4e3469b42b381d9d992ab01c9af8e30",
+        "33b7f20ec8e5b9346be0dcb47f7cdbe739b8c7a4d8a482152f51203865c7ff58"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPOSURE_DIGESTS))
+def test_the_exposure_bytes_of_each_bundled_scenario_are_pinned(name):
+    scenario = {**reference_scenarios(), "midnight": midnight_scenario()}[name]
+    digests = tuple(map(sha256, exposure_texts(simulate(scenario))))
+    assert digests == EXPOSURE_DIGESTS[name]
+
+
+def test_the_exposure_bytes_of_walks_are_pinned():
+    # one digest over both files of walks 0..299, in seed order
+    digest = hashlib.sha256()
+    for seed in range(300):
+        for text in exposure_texts(simulate(random_walk_scenario(seed))):
+            digest.update(text.encode())
+    assert digest.hexdigest() == \
+        "7b0f749ef69bc0f561728263c021584b713e532867ee7d32ec5cebeda91698e1"
+
+
+# ---------------------------------------------------------------------------
 # next-event advance: skipping and jumping ticks changes no output
 # ---------------------------------------------------------------------------
 
@@ -863,6 +912,14 @@ NEXT_EVENT_RUNS = {
     "dark_door_crosser": lambda: make_scenario(
         [door_crosser()], duration=200.0,
         unsafe_force_on={"ceiling_1": ((21.0, 30.0),)}),
+    # deadlines that are not a whole number of ticks, and of one tick: the
+    # window opens 0.47 s after the crossing either way
+    **{f"dark_door_crosser_{deadline}s": (
+        lambda deadline=deadline: dataclasses.replace(
+            make_scenario([door_crosser()], duration=200.0,
+                          unsafe_force_on={"ceiling_1": ((21.0, 30.0),)}),
+            policy=CyclePolicy(reaction_deadline=deadline)))
+       for deadline in (0.35, 0.1)},
     "dark_swap": lambda: make_scenario(
         swap_at_the_door(), duration=200.0,
         unsafe_force_on={"desk_2": ((60.0, 70.0),)}),
