@@ -194,8 +194,8 @@ class ControllerState:
     roster: LampRoster
     armed: bool = True
     manual_killed: bool = False
-    # lamp id -> (started_at, ends_at) while running, absent while off
-    running: Dict[str, Tuple[float, float]] = field(default_factory=dict)
+    # lamp id -> the time its cycle ends while running, absent while off
+    running: Dict[str, float] = field(default_factory=dict)
     last_room_vacated_at: Optional[float] = None
     post_departure_cycle_done: bool = True
     midnight_done_date: Optional[date] = None
@@ -258,7 +258,7 @@ def step(state: ControllerState, snapshot: OccupancySnapshot, now: float,
 
     def turn_on(lamp_id: str, duration: float, reason: CommandReason) -> None:
         if lamp_id not in state.running:
-            state.running[lamp_id] = (now, now + duration)
+            state.running[lamp_id] = now + duration
             commands.append(LampCommand(now, lamp_id, LampAction.TURN_ON, reason))
 
     def turn_off(lamp_id: str, reason: CommandReason) -> None:
@@ -298,7 +298,7 @@ def step(state: ControllerState, snapshot: OccupancySnapshot, now: float,
             turn_off(lamp_id, CommandReason.OCCUPANCY_INTERRUPT)
 
     # 4. scheduled completions
-    for lamp_id, (_, ends_at) in list(state.running.items()):
+    for lamp_id, ends_at in list(state.running.items()):
         if now >= ends_at:
             turn_off(lamp_id, CommandReason.CYCLE_COMPLETE)
 
@@ -384,7 +384,7 @@ def next_due_at(state: ControllerState, policy: CyclePolicy,
     next step counts the gap again."""
     if state.manual_killed:
         return float("inf")
-    due = [ends_at for _, ends_at in state.running.values()]
+    due = list(state.running.values())
     due.append(state.next_upper_room_at)
     today = _local_date(after, policy.tz_offset)
     if today < date.max:

@@ -52,19 +52,20 @@ moved or on which a false positive falls. Its ticks repeat the payloads
 that the sensor models made on its first tick, or on its first advert tick;
 with a sensor that latches (``hold_time`` > 0), the models run again on
 its last tick, so that every latch ends where stepping each tick leaves
-it. As it moves the occupants, the sensing pass
-records the run's track: each tick from which someone's entry clock
-changes. safety_check builds the same track by a walk over the kinematics
-alone. The exposure pass reads the command log and the forced windows
-once, into the lamps lit as runs: one from tick 0 and one from each tick
-on which the set of lamps lit changes (``_lamp_runs``). It reads the entry
-clocks from the track. It skips every run in which no lamp the audit acts
-on is lit (none that emits downward, no ceiling lamp and no desk lamp
-guarding a zone), whoever moves. Within a run in which one is lit, it
-jumps while nobody moves, up to the next waypoint or the run's end, adding
-the dose of the skipped ticks at once, unless a ceiling lamp is lit with
-anyone inside or a desk lamp over someone in its zone. The output is the
-same byte for byte as stepping every tick.
+it. The exposure pass reads the command log and the forced windows once,
+into the lamps lit as runs: one from tick 0 and one from each tick on
+which the set of lamps lit changes (``_lamp_runs``). It skips every run in
+which no lamp the audit acts on is lit (none that emits downward, no
+ceiling lamp and no desk lamp guarding a zone), whoever moves. It moves
+its own occupants, the only ones that track entry clocks: before a run it
+audits, it jumps to the reaction deadline plus at least a tick before the
+run's first tick, and moves from there over parked spans only. Every
+clock it reads is then exact or, like the true one, older than the
+deadline by a tick or more, which the audit reads alike. Within a run it
+audits, it jumps while nobody moves, up to the next waypoint or the run's
+end, adding the dose of the skipped ticks at once, unless a ceiling lamp
+is lit with anyone inside or a desk lamp over someone in its zone. The
+output is the same byte for byte as stepping every tick.
 
 Walls are opaque to PIR and ultrasonic sensing but transparent to BLE.
 """
@@ -705,15 +706,16 @@ class _Occupants:
     ``insides`` at the start of tick ``k``, ``prev_positions`` at the tick
     visited before it (None before tick 0).
 
-    The run's track (``track=True``) records in ``clocks``, as (tick,
-    occupant index, clock), each tick from which an occupant's entry clock
-    changes: the instant the audit counts them inside from, or None. It
-    starts at tick 0 for those inside then; a tick that crosses into the
-    room sets it to the crossing instant on its movement segment, and it
-    is cleared from the first tick whose segment lies wholly outside. This
-    is the only code that computes entry instants. A track moves past no
-    waypoint before the tick it moves to, as ``walk`` and the sensing pass
-    move it: everyone stays where they were on the ticks in between."""
+    A tracked one (``track=True``) holds in ``entered`` each occupant's
+    entry clock as the move into tick k leaves it: the instant the audit
+    counts them inside from, or None. It starts at tick 0 for those inside
+    then. A move that finds someone inside who was outside on the tick
+    visited before sets it to the crossing instant on the segment into
+    tick k, and one that finds them still outside clears it; from where
+    they were inside it runs on, also over the segment that leaves. This
+    is the only code that computes entry instants. They are exact when the
+    move crosses no waypoint before tick k, so that everyone stays where
+    they were on the ticks in between."""
 
     def __init__(self, scenario: Scenario, ticks: _TickGrid, track: bool = False):
         self.room = scenario.room
@@ -721,13 +723,12 @@ class _Occupants:
         self.trackers = [_OccupantTracker(o) for o in scenario.occupants]
         self.ids = [o.occupant_id for o in scenario.occupants]
         self.positions: List[Optional[Point3]] = [None] * len(self.ids)
-        self.clocks: Optional[List[Tuple[int, int, Optional[float]]]] = None
+        self.entered: Optional[List[Optional[float]]] = None
         self.k = 0
         self.move_to(0)
         if track:
-            self.clocks = [(0, i, ticks.time(0))
-                           for i, inside in enumerate(self.insides) if inside]
-            self.clocked = list(self.insides)
+            self.entered = [ticks.time(0) if inside else None
+                            for inside in self.insides]
 
     def parked_until(self) -> int:
         """The first tick at whose start someone may have moved, 0 while
@@ -740,41 +741,19 @@ class _Occupants:
         offset = self.ticks.offset(k)
         states = [tr.at(offset) for tr in self.trackers]
         self.prev_positions = self.positions
-        was = self.insides if self.clocks is not None else None
+        was = self.insides if self.entered is not None else None
         self.positions = [pos for pos, _ in states]
         self.insides = [flag or self.room.contains(pos) for pos, flag in states]
         if was is not None:
-            self._track(k, was)
+            # from where everyone was on the last tick visited, only the
+            # segment into tick k can cross into the room
+            start, tick = self.ticks.time(k - 1), self.ticks.tick
+            for i, now in enumerate(self.insides):
+                if not was[i]:
+                    self.entered[i] = start + _box_entry_frac(
+                        self.prev_positions[i], self.positions[i],
+                        self.room) * tick if now else None
         self.k = k
-
-    def _track(self, k: int, was: List[bool]) -> None:
-        """Record the clocks that change from the last tick visited to k:
-        the ticks in between keep its inside flags, so only tick k - 1 can
-        cross into the room, from where everyone was on the last tick."""
-        last, ticks = self.k, self.ticks
-        for i, now in enumerate(self.insides):
-            if was[i]:
-                continue        # the clock runs on, also on the tick that leaves
-            if self.clocked[i] and (not now or k > last + 1):
-                self.clocks.append((last, i, None))
-                self.clocked[i] = False
-            if now:
-                frac = _box_entry_frac(self.prev_positions[i], self.positions[i],
-                                       self.room)
-                self.clocks.append((k - 1, i, ticks.time(k - 1) + frac * ticks.tick))
-                self.clocked[i] = True
-
-    def walk(self) -> Iterator[Tuple[int, int, Optional[float]]]:
-        """The track's clock changes in tick order, from a walk through the
-        run with no sensing pass: into each tick while someone moves, and
-        over parked spans. It walks only as far as the changes are read."""
-        read = 0
-        while True:
-            yield from self.clocks[read:]
-            read = len(self.clocks)
-            if self.k == self.ticks.count:
-                return
-            self.move_to(max(self.k + 1, self.parked_until()))
 
 
 class _Sensing:
@@ -890,16 +869,17 @@ class _Sensing:
         return max(stop - 1 if self.latching else stop, k + 1)
 
 
-def _sense(scenario: Scenario, runs: EventRuns,
-           occupants: _Occupants) -> Iterator[int]:
-    """The sensing pass: moves ``occupants`` through the run and adds the
+def _sense(scenario: Scenario, runs: EventRuns) -> Iterator[int]:
+    """The sensing pass: moves the occupants through the run and adds the
     run's sensor events to ``runs``, on its tick grid: a tick alone adds
     its rows, and a still span adds each source's rows as one run over the
     span and the rows of each advert in it. It yields the tick up to which
     the rows are final, and rows after it may be there: after tick 0's
     rows, after each span, and last the run's last tick. It reads no
-    controller state, and simulate() pulls it to the end."""
-    ticks = occupants.ticks
+    controller state and tracks no entry clocks, and simulate() pulls it
+    to the end."""
+    ticks = _TickGrid(scenario)
+    occupants = _Occupants(scenario, ticks)
     sensing = _Sensing(scenario, ticks)
     k = 0
     while k < ticks.count:
@@ -1046,11 +1026,8 @@ def simulate(scenario: Scenario) -> SimulationResult:
                         end_time=ticks.time(ticks.count), tick=ticks.tick,
                         probe_names=tuple(name for name, _ in _probe_points(room)))
     events = timeline.events = EventRuns(ticks.start, ticks.tick)
-    track = _Occupants(scenario, ticks, track=True)
-    timeline.commands = _decide(scenario, events,
-                                _sense(scenario, events, track))
-    timeline.probe_samples, spans, safety = _expose(scenario, timeline.commands,
-                                                    track.clocks)
+    timeline.commands = _decide(scenario, events, _sense(scenario, events))
+    timeline.probe_samples, spans, safety = _expose(scenario, timeline.commands)
     timeline.lamp_intervals = {
         lamp_id: [(ticks.time(a), ticks.time(b)) for a, b in pairs]
         for lamp_id, pairs in spans.items()}
@@ -1118,36 +1095,35 @@ def _lamp_runs(scenario: Scenario, commands: Sequence[LampCommand],
     return runs
 
 
-def _expose(scenario: Scenario, commands: Sequence[LampCommand],
-            clocks: Iterable[Tuple[int, int, Optional[float]]]) -> Tuple[
+def _expose(scenario: Scenario, commands: Sequence[LampCommand]) -> Tuple[
         ProbeRuns, Dict[str, List[Tuple[int, int]]], SafetyReport]:
     """The lamps a command log lights, run by run of ``_lamp_runs``: the
     probe values of each run, the on-intervals as tick-index pairs, and
     the audit of each tick's movement segment against the lamps lit over
-    it, with the entry clocks of the run's track. It audits only the runs
-    in which a lamp the audit acts on is lit. On-intervals are keyed in the
-    order their lamps first switch off, then the lamps still lit at the
-    end by id: the dose grid adds them in that order."""
+    it. It audits only the runs in which a lamp the audit acts on is lit.
+    On-intervals are keyed in the order their lamps first switch off, then
+    the lamps still lit at the end by id: the dose grid adds them in that
+    order.
+
+    The pass moves its own tracked occupants for the entry clocks. Before
+    a run it audits, from tick k, it jumps to tick k - ``lead``, crossing
+    waypoints if it must, and from there moves over parked spans only, so
+    that every clock changed after the jump is exact. A clock the jump
+    leaves may be wrong, but it is at most time(k - lead), as the true one
+    is, and ``lead`` ticks are at least the reaction deadline plus a whole
+    tick: on every audited tick t >= time(k), clock - t + deadline <= -tick
+    for either clock, a margin that no rounding closes. ``observe`` then finds the occupant inside from the
+    tick's start and the deadline past, and ``still`` finds no clock after
+    t, with the jump's clock as with the true one."""
     ticks = _TickGrid(scenario)
     runs = _lamp_runs(scenario, commands, ticks)
-    occupants = _Occupants(scenario, ticks)
+    occupants = _Occupants(scenario, ticks, track=True)
     audit = _SafetyAccumulator(scenario, occupants.ids)
+    lead = math.ceil(scenario.policy.reaction_deadline / ticks.tick) + 1
     probe_positions = [p for _, p in _probe_points(scenario.room)]
     values: List[Tuple[float, ...]] = []
     spans: Dict[str, List[Tuple[int, int]]] = {}
     since: Dict[str, int] = {}      # the lamps lit, in switch-on order
-    entered: List[Optional[float]] = [None] * len(occupants.ids)
-    changes = iter(clocks)
-    change = next(changes, None)
-
-    def clocks_at(k: int) -> List[Optional[float]]:
-        nonlocal change
-        while change is not None and change[0] <= k:
-            _, i, clock = change
-            entered[i] = clock
-            change = next(changes, None)
-        return entered
-
     ends = [first for first, _ in runs[1:]] + [ticks.count]
     for (k, on), end in zip(runs, ends):
         for lamp_id in [i for i in since if i not in on]:
@@ -1159,23 +1135,29 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand],
                             else 0.0 for p in probe_positions))
         if not audit.acts_on(on):
             # nothing lit that the audit acts on: whoever moves, it can
-            # record nothing, and the track keeps the entry clocks
+            # record nothing
             continue
+        # the one move that may cross waypoints, then parked spans up to k
+        if occupants.k < k - lead:
+            occupants.move_to(k - lead)
+        while occupants.k < k:
+            occupants.move_to(min(k, max(occupants.k + 1,
+                                         occupants.parked_until())))
         while k < end:
             t = ticks.time(k)
             # -- cross ticks of the run on which nobody moves ----------------
-            if occupants.k < k:
-                occupants.move_to(k)
             stop = min(occupants.parked_until(), end)
-            if stop > k + 1 and audit.still(t, clocks_at(k), occupants.positions,
+            if stop > k + 1 and audit.still(t, occupants.entered,
+                                            occupants.positions,
                                             occupants.insides, on, stop - 1 - k):
                 # tick stop-1 audits the move into tick stop
                 k = stop - 1
                 t = ticks.time(k)
 
-            clocks_at(k)
             pos_a, in_a = occupants.positions, occupants.insides
+            # a crossing on tick k is known after the move into k + 1
             occupants.move_to(k + 1)
+            entered = occupants.entered
             for i, occupant_id in enumerate(occupants.ids):
                 audit.observe(t, occupant_id, entered[i], pos_a[i], in_a[i],
                               occupants.positions[i], occupants.insides[i], on)
@@ -1189,12 +1171,10 @@ def _expose(scenario: Scenario, commands: Sequence[LampCommand],
 def safety_check(timeline: Timeline, scenario: Scenario) -> SafetyReport:
     """The exposure audit of a timeline's command record: simulate()'s own
     exposure pass over the logged commands, any forced-on test windows and
-    the scripted occupant motion, whose track a walk over the kinematics
-    alone builds as far as the audit reads it. On commands read back from
+    the scripted occupant motion. On commands read back from
     ``commands.csv`` it audits the log as written; a command for a lamp
     the room lacks is a ``ValueError``."""
-    track = _Occupants(scenario, _TickGrid(scenario), track=True)
-    return _expose(scenario, timeline.commands, track.walk())[2]
+    return _expose(scenario, timeline.commands)[2]
 
 
 # ---------------------------------------------------------------------------

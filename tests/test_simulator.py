@@ -647,8 +647,8 @@ def forced_over_entries(scenario: Scenario) -> Scenario:
 
 def test_safety_check_agrees_with_the_engine():
     # the audit of the command log as written to and read back from
-    # commands.csv, with nothing else of the run: safety_check walks the
-    # kinematics for its own track of the entry clocks
+    # commands.csv, with nothing else of the run: the exposure pass moves
+    # its own track of the entry clocks
     counts = []
     for sc in (make_scenario([walker()]),
                make_scenario([walker()],
@@ -705,11 +705,16 @@ def test_violations_count_from_the_entry_the_track_locates():
     sc = make_scenario([door_crosser()], duration=200.0,
                        unsafe_force_on={"ceiling_1": ((21.0, 30.0),)})
     result = simulate(sc)
-    ticks = simulator._TickGrid(sc)
-    clocks = list(simulator._Occupants(sc, ticks, track=True).walk())
-    assert clocks == [(205, 0, pytest.approx(START + 20.53, abs=1e-6))]
+    track = simulator._Occupants(sc, simulator._TickGrid(sc), track=True)
+    for k in range(1, 206):
+        track.move_to(k)
+    assert track.entered == [None]
+    # tick 205's segment crosses the door
+    track.move_to(206)
+    clock = track.entered[0]
+    assert clock == pytest.approx(START + 20.53, abs=1e-6)
     first = result.safety.violations[0]
-    assert first.timestamp == clocks[0][2] + sc.policy.reaction_deadline
+    assert first.timestamp == clock + sc.policy.reaction_deadline
     assert result.safety.violation_count == 85
 
 
@@ -726,9 +731,10 @@ def swap_at_the_door() -> List[OccupantScript]:
                 wp(45.07, 2.15, 4.5), wp(200.0, 2.15, 4.5)))]
 
 
-def test_the_walked_track_is_the_sensing_pass_track():
-    # safety_check walks the kinematics alone: moving ticks and parked
-    # spans' ends, fewer ticks than the sensing pass visits
+def test_a_track_over_parked_spans_reads_the_clocks_of_every_tick():
+    # the exposure pass moves its track into each tick while someone moves
+    # and over parked spans: on every tick it lands on, the entry clocks
+    # read as on a track moved into every tick
     scenarios = [random_walk_scenario(seed) for seed in range(20)] + [
         make_scenario([door_crosser()], duration=200.0),
         make_scenario(swap_at_the_door(), duration=200.0),
@@ -740,15 +746,30 @@ def test_the_walked_track_is_the_sensing_pass_track():
             wp(19.95, 2.15, -0.001, inside=False), wp(21.95, 2.15, 1.0)))]),
         reference_scenarios()["D"]]
     clocks = []
+    landings = steps = 0
     for sc in scenarios:
         ticks = simulator._TickGrid(sc)
-        sensed = simulator._Occupants(sc, ticks, track=True)
-        for _ in simulator._sense(sc, EventRuns(ticks.start, ticks.tick), sensed):
-            pass
-        walked = simulator._Occupants(sc, ticks, track=True)
-        assert list(walked.walk()) == sensed.clocks, sc.name
-        assert sensed.k == walked.k == ticks.count
-        clocks.append(walked.clocks)
+        parked = simulator._Occupants(sc, ticks, track=True)
+        landed = {0: list(parked.entered)}
+        while parked.k < ticks.count:
+            parked.move_to(max(parked.k + 1, parked.parked_until()))
+            landed[parked.k] = list(parked.entered)
+        stepped = simulator._Occupants(sc, ticks, track=True)
+        # (tick, occupant index, clock) from each tick whose movement
+        # segment changes a clock
+        changes = [(0, i, clock) for i, clock in enumerate(stepped.entered)
+                   if clock is not None]
+        for k in range(1, ticks.count + 1):
+            was = list(stepped.entered)
+            stepped.move_to(k)
+            changes += [(k - 1, i, clock) for i, clock in
+                        enumerate(stepped.entered) if clock != was[i]]
+            if k in landed:
+                assert stepped.entered == landed[k], (sc.name, k)
+        landings += len(landed)
+        steps += ticks.count + 1
+        clocks.append(changes)
+    assert landings < steps / 2
     # the swap: the leaver's clock from tick 0 until the first tick wholly
     # outside, the entrant's from the crossing instant
     assert clocks[21] == [(0, 0, START),
@@ -965,20 +986,20 @@ def test_next_event_advance_equals_stepping_every_tick(run, monkeypatch):
                         lambda self: -math.inf)
     monkeypatch.setattr(simulator._SafetyAccumulator, "acts_on",
                         lambda self, on_lamps: True)
-    # the track, moved by the sensing pass or by safety_check's walk, and
-    # then the exposure pass move the occupants into every tick, one at a
-    # time: a span that takes its stop from anything but parked_until or
-    # acts_on skips some
+    # simulate's sensing pass moves its untracked occupants and its
+    # exposure pass its track, and safety_check moves a track alone, into
+    # every tick, one at a time: a span that takes its stop from anything
+    # but parked_until or acts_on skips some
     moves: Dict[simulator._Occupants, List[int]] = {}
     move_to = simulator._Occupants.move_to
     monkeypatch.setattr(simulator._Occupants, "move_to", lambda self, k: (
         moves.setdefault(self, []).append(k), move_to(self, k))[1])
+    every = [*range(int(round(scenario.duration / scenario.tick)) + 1)]
+    expected = iter([[(False, every), (True, every)], [(True, every)]])
 
     def one_move_per_tick():
-        count = int(round(scenario.duration / scenario.tick))
-        assert [(occupants.clocks is not None, ks)
-                for occupants, ks in moves.items()] == [
-            (True, [*range(count + 1)]), (False, [*range(count + 1)])]
+        assert [(occupants.entered is not None, ks)
+                for occupants, ks in moves.items()] == next(expected)
         moves.clear()
 
     stepped = _outputs(scenario, one_move_per_tick)
