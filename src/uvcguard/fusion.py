@@ -16,9 +16,12 @@ other sources between its rows do not cut it. ``EventRuns`` holds the runs
 in the order of their first rows and reads as a sequence of
 ``SensorEvent`` rows merged in (timestamp, source, lane) order, which is
 ``sort_events`` order; a row off the grid stays a ``SensorEvent``.
-``read_event_log`` joins rows on the grid into runs, and
 ``write_event_log`` merges the runs window by window and formats each
-run's rows from its ticks.
+run's rows from its ticks. ``read_event_log`` joins rows on the grid into
+runs, and reads them the way they were written: while the runs it holds
+predict the next rows, it writes their next block with the writer's slot
+fill and compares the text with the stream, and parses rows one at a time
+only where the text differs.
 
 Each channel of fusion (motion, anomaly, each desk zone, approach) is a
 union of half-open windows ``[row, row + hold)`` (Allen, CACM 1983). Every
@@ -33,6 +36,7 @@ hold.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -105,28 +109,35 @@ def sort_events(events: Sequence[SensorEvent]) -> List[SensorEvent]:
 # runs
 # ---------------------------------------------------------------------------
 
-# the text of a tick time after its leading digits v // 100, by v % 100: v
-# counts tenths of a second ("d.d") or whole seconds ("dd.0")
-_TENTHS_ENDINGS = tuple(f"{r // 10}.{r % 10}" for r in range(100))
-_WHOLE_ENDINGS = tuple(f"{r:02d}.0" for r in range(100))
+@functools.lru_cache(maxsize=None)
+def _endings(size: int, whole: bool) -> Tuple[str, ...]:
+    """The text of a tick time after its leading digits v // size, by
+    v % size, for a size of 100 or 1000: v counts whole seconds ("dd.0",
+    "ddd.0") or tenths of a second ("d.d", "dd.d")."""
+    if whole:
+        return tuple(f"{r:0{len(str(size)) - 1}d}.0" for r in range(size))
+    return tuple(f"{r // 10:0{len(str(size)) - 2}d}.{r % 10}"
+                 for r in range(size))
 
 
-def _digit_texts(first: int, step: int, n: int,
-                 endings: Tuple[str, ...]) -> List[str]:
-    """``str(v // 100) + endings[v % 100]`` for the n values v = first,
-    first + step, ..., all at least 100: a prefix per hundred, and only the
-    endings the step reaches. Each hundred is joined into lines and the
-    lines split once, so that no text is built one at a time."""
-    hundreds: List[str] = []
+def _digit_texts(first: int, step: int, n: int, whole: bool) -> List[str]:
+    """``str(v // size) + _endings(size, whole)[v % size]`` for the n values
+    v = first, first + step, ..., all at least 100: size is 1000 from 1000
+    on, else 100. A prefix per thousand or hundred, and only the endings the
+    step reaches. Each is joined into lines and the lines split once, so
+    that no text is built one at a time."""
+    size = 1000 if first >= 1000 else 100
+    endings = _endings(size, whole)
+    chunks: List[str] = []
     v, left = first, n
     while left > 0:
-        q, r = divmod(v, 100)
-        tail = endings[r::step][:left]
+        q, r = divmod(v, size)
+        tail = endings[r:r + left * step:step]
         prefix = str(q)
-        hundreds.append(prefix + ("\n" + prefix).join(tail))
+        chunks.append(prefix + ("\n" + prefix).join(tail))
         left -= len(tail)
         v += len(tail) * step
-    return "\n".join(hundreds).split("\n") if hundreds else []
+    return "\n".join(chunks).split("\n") if chunks else []
 
 
 def tick_texts(start: float, tick: float, ks: range) -> List[str]:
@@ -135,24 +146,39 @@ def tick_texts(start: float, tick: float, ks: range) -> List[str]:
     integers below 2**53, so each text is the integer and ".0". On a grid of
     whole tenths in [10 s, 2**48 s) an ulp is under 0.1 s, so a
     one-fraction-digit decimal that parses back to the time is its shortest
-    round-trip text, which ``repr`` prints (Steele & White, PLDI 1990): each
-    text m / 10 is kept if ``m / 10``, correctly rounded as the parse is,
-    equals the time."""
+    round-trip text, which ``repr`` prints (Steele & White, PLDI 1990): the
+    text of m / 10 is kept if ``m / 10``, correctly rounded as the parse is,
+    equals the time.
+
+    That holds for every tick at once, with no time built, when ``start``
+    is m0 / 10 exactly (m0 a multiple of 5, so m0 / 10 is a dyadic
+    rational) and, with K the largest |k|,
+    ``K * ulp(tick) + ulp(K * tick) < ulp(lo) / 16``. The time of tick k
+    then differs from m / 10, m = m0 + k * step, by the error of ``tick``
+    times k and the rounding of the product, under half that sum
+    (Goldberg, ACM Computing Surveys 1991), before the sum rounds. m / 10
+    is never a dyadic midpoint: at an ulp u <= 1/32 its distance to the
+    nearest midpoint of the doubles is at least u / 10, and over [lo, 2**48)
+    at least ulp(lo) / 20. So the sum rounds to the double nearest m / 10.
+    Any other grid of tenths checks each text against its time."""
     if not (ks and ks.step > 0 and tick > 0.0):
         return [repr(start + k * tick) for k in ks]
     lo, hi = start + ks[0] * tick, start + ks[-1] * tick
     if tick == 1.0 and 100.0 <= lo and hi < 2.0 ** 53 and ks.start >= 0 \
             and 0.0 <= start and start % 1.0 == 0.0:
-        return _digit_texts(int(start) + ks.start, ks.step, len(ks),
-                            _WHOLE_ENDINGS)
-    times = [start + k * tick for k in ks]
+        return _digit_texts(int(start) + ks.start, ks.step, len(ks), True)
     if not (10.0 <= lo and hi < 2.0 ** 48):
-        return [repr(t) for t in times]
+        return [repr(start + k * tick) for k in ks]
     step, m0 = round(tick * 10.0), round(start * 10.0)
     if not (step / 10 == tick and m0 / 10 == start):
-        return [repr(t) for t in times]
+        return [repr(start + k * tick) for k in ks]
     ms = range(m0 + ks.start * step, m0 + ks.stop * step, ks.step * step)
-    texts = _digit_texts(ms.start, ms.step, len(ms), _TENTHS_ENDINGS)
+    texts = _digit_texts(ms.start, ms.step, len(ms), False)
+    top = max(abs(ks[0]), abs(ks[-1]))
+    if m0 % 5 == 0 and \
+            top * math.ulp(tick) + math.ulp(top * tick) < math.ulp(lo) / 16:
+        return texts
+    times = [start + k * tick for k in ks]
     if [m / 10 for m in ms] != times:
         texts = [text if m / 10 == t else repr(t)
                  for text, m, t in zip(texts, ms, times)]
@@ -213,6 +239,26 @@ def first_tick(start: float, tick: float, ts: float) -> int:
     while start + k * tick < ts:
         k += 1
     return k
+
+
+def _layout(a: int, placed: List[tuple]) -> Tuple[range, list]:
+    """A window of ``EventRuns._windows`` from tick a: (ticks, placed) for
+    ``placed``, each run's (entry, ks) in row order on a tick."""
+    step = 0
+    top = a
+    for _, ks in placed:
+        step = math.gcd(step, ks.start - a, ks.step if len(ks) > 1 else 0)
+        top = max(top, ks[-1])
+    step = step or 1
+    width = len(placed)
+    window = []
+    for r, (entry, ks) in enumerate(placed):
+        at = (ks.start - a) // step
+        stride = ks.step // step if len(ks) > 1 else 1
+        window.append((entry, ks, slice(at, at + len(ks) * stride, stride),
+                       slice(at * width + r, (at + (len(ks) - 1) * stride)
+                             * width + r + 1, stride * width)))
+    return range(a, top + 1, step), window
 
 
 class EventRuns:
@@ -357,26 +403,13 @@ class EventRuns:
                 runs.sort(key=itemgetter(0, 1, 2))
             b = min(a + _WINDOW, following)
             placed = []
-            step = 0
-            top = a
             for run in runs:
                 j, period = run[4], run[6]
                 if j < b:
                     end = j + (min(run[5], b - 1) - j) // period * period
                     run[4] = end + period
                     placed.append((run[3], range(j, end + 1, period)))
-                    step = math.gcd(step, j - a, period if end > j else 0)
-                    top = max(top, end)
-            step = step or 1
-            width = len(placed)
-            window = []
-            for r, (entry, ks) in enumerate(placed):
-                at = (ks.start - a) // step
-                stride = ks.step // step if len(ks) > 1 else 1
-                window.append((entry, ks, slice(at, at + len(ks) * stride, stride),
-                               slice(at * width + r, (at + (len(ks) - 1) * stride)
-                                     * width + r + 1, stride * width)))
-            yield range(a, top + 1, step), window
+            yield _layout(a, placed)
             runs = [run for run in runs if run[4] <= run[5]]
 
     def __len__(self) -> int:
@@ -661,6 +694,19 @@ def _row_tail(source: str, p: Payload) -> Tuple[str, str, str, str]:
     raise ValueError(f"cannot serialize payload {type(p).__name__}")
 
 
+def _rows_text(count: int, rows: Iterable[Tuple[slice, List[str], str]]) -> str:
+    """The text of a window of ``count`` row slots, tick by tick, as
+    ``write_event_log`` writes it: for each run, (its slots, the timestamp
+    texts of its rows, its tail). Two strings a slot, a row's timestamp and
+    its tail, so that the window joins in one call."""
+    slots = [""] * (2 * count)
+    for into, stamps, tail in rows:
+        first, stop, step = 2 * into.start, 2 * into.stop - 1, 2 * into.step
+        slots[first:stop:step] = stamps
+        slots[first + 1:stop + 1:step] = [tail] * len(stamps)
+    return "".join(slots)
+
+
 def write_event_log(events: Iterable[SensorEvent], stream) -> None:
     """Write events as CSV rows in the order given. A row is the event's
     ``repr`` timestamp and the tail that ``event_to_row`` gives its source
@@ -695,22 +741,61 @@ def write_event_log(events: Iterable[SensorEvent], stream) -> None:
             event = placed[0][0]
             stream.write(repr(event.timestamp) + tail(event.source, event.payload))
             continue
-        # two slots a row, its timestamp and its tail, so that the window
-        # joins in one call; one timestamp text per tick, shared by its rows
+        # one timestamp text per tick, shared by its rows
         stamps = tick_texts(start, tick, ticks)
-        slots = [""] * (2 * len(ticks) * len(placed))
-        for entry, ks, at, into in placed:
-            first, stop, step = 2 * into.start, 2 * into.stop - 1, 2 * into.step
+        rows = []
+        for entry, _, at, into in placed:
             if entry.__class__ is SensorEvent:
-                slots[first] = repr(entry.timestamp)
-                slots[first + 1] = tail(entry.source, entry.payload)
+                rows.append((into, [repr(entry.timestamp)],
+                             tail(entry.source, entry.payload)))
                 continue
             text = texts.get(id(entry))
             if text is None:
                 text = texts[id(entry)] = tail(entry[3], entry[4])
-            slots[first:stop:step] = stamps[at]
-            slots[first + 1:stop + 1:step] = [text] * len(ks)
-        stream.write("".join(slots))
+            rows.append((into, stamps[at], text))
+        stream.write(_rows_text(len(ticks) * len(placed), rows))
+
+
+# characters the event-log reader asks its stream for at a time
+_CHUNK = 1 << 16
+# rows the reader parses one at a time after a block that stops short of
+# its end: the first count after a block that read rows, doubled for each
+# block after it that reads none, up to the last
+_BACKOFF = (4, 256)
+# the steps of the reader's first block, and of its first after one that
+# stopped short, a step being the gcd of the periods of its runs; each
+# block whose rows all match doubles them, up to ``_WINDOW`` ticks
+_SPAN = 64
+# characters of the log that the reader splits into lines per row it is
+# to parse before its next block
+_LINE = 64
+# whether the reader tries blocks at all; the tests turn it off to compare
+_BLOCKS = True
+
+
+class _LogText:
+    """The text of a stream read ``_CHUNK`` characters at a time:
+    ``buf[pos:]`` is yet to be parsed, and ``eof`` says whether the stream
+    has ended."""
+
+    __slots__ = ("stream", "buf", "pos", "eof")
+
+    def __init__(self, stream):
+        self.stream, self.buf, self.pos, self.eof = stream, "", 0, False
+
+    def more(self, need: int = 0) -> None:
+        """Read on, chunk by chunk, until ``buf[pos:]`` holds ``need``
+        characters, or a newline when ``need`` is 0, or the stream ends."""
+        rest = self.buf[self.pos:]
+        pieces, have = [rest], len(rest)
+        while not self.eof:
+            piece = self.stream.read(_CHUNK)
+            self.eof = not piece
+            pieces.append(piece)
+            have += len(piece)
+            if have >= need if need else "\n" in piece:
+                break
+        self.buf, self.pos = "".join(pieces), 0
 
 
 def read_event_log(stream, grid: Optional[Tuple[float, float]] = None) -> EventRuns:
@@ -720,75 +805,130 @@ def read_event_log(stream, grid: Optional[Tuple[float, float]] = None) -> EventR
     one payload object. With a ``grid`` (start, tick), the rows of each
     text whose timestamps sit on it are joined into runs; every other row
     stays alone. A log out of ``sort_events`` order is read row by row and
-    sorted."""
+    sorted. A last row with no newline reads as if it had one.
+
+    The stream is read ``_CHUNK`` characters at a time. With a grid, while
+    the runs read so far predict the next rows, the reader writes the text
+    that ``write_event_log`` would write for their next block of ticks and
+    compares it with the stream (``_read_block``): equal text is the same
+    rows, which extend the runs as the row parser would extend them. Where
+    the text differs, the rows from the first tick that differs are parsed
+    one at a time, a few more after each block that differs."""
     start, tick = grid if grid is not None else (0.0, 1.0)
     events = EventRuns(start, tick)
     entries = events.entries
-    header = stream.readline().rstrip("\n")
-    if header != EVENT_LOG_HEADER:
+    text = _LogText(stream)
+    text.more()
+    text.pos = text.buf.find("\n") + 1 or len(text.buf)
+    if text.buf[:text.pos].rstrip("\n") != EVENT_LOG_HEADER:
         raise ValueError(f"line 1: expected header {EVENT_LOG_HEADER!r}")
     # text after the timestamp -> [source, payload, the text's latest run,
-    # the time of its next row, its lane]
+    # the time of its next row, its lane, the text with its comma and
+    # newline]; ``periodic`` holds the texts whose latest run has a period
     tails: Dict[str, list] = {}
+    periodic: Dict[str, list] = {}
     # the row before, and the lane of its source on its tick
     prev_ts, prev, lane = -math.inf, [""], 0
     rows: Optional[List[SensorEvent]] = None    # every row, once out of order
-    for lineno, line in enumerate(stream, start=2):
-        ts_raw, _, tail = line.partition(",")
-        parsed = tails.get(tail)
-        try:
-            ts = float(ts_raw)
-        except ValueError:
-            ts = math.nan
-        if parsed is not None and ts == parsed[3] and ts > prev_ts and \
-                not parsed[4]:
-            # the next row of the text's run, first on its tick
-            run = parsed[2]
-            run[2] += 1
-            parsed[3] = start + (run[0] + run[2] * run[1]) * tick
-            prev_ts, prev, lane = ts, parsed, 0
-            continue
-        if parsed is None:
-            if not line.rstrip("\n"):
+    lineno = 1
+    blocks = _BLOCKS and grid is not None
+    # rows to parse before the next block, and after the next that differs;
+    # the steps the next block spans
+    wait, backoff, span = 0, _BACKOFF[0], _SPAN
+    while True:
+        if blocks and wait <= 0:
+            read, last, whole = _read_block(
+                text, start, tick, periodic, prev_ts, span)
+            if whole is not None:
+                span = min(2 * span, _WINDOW) if whole else _SPAN
+            if read:
+                run = last[2]
+                prev_ts = start + (run[0] + (run[2] - 1) * run[1]) * tick
+                prev, lane, lineno = last, last[4], lineno + read
+                backoff = _BACKOFF[0]
+            if whole:
                 continue
-            if tail.count(",") != 3:
-                raise ValueError(f"line {lineno}: expected 5 fields, "
-                                 f"got {line.count(',') + 1}")
-        if not math.isfinite(ts):
-            raise ValueError(f"line {lineno}: bad timestamp {ts_raw!r}")
-        if parsed is None:
-            if len(tails) == _TAILS_CACHED:
-                tails.clear()
-            parsed = tails[tail] = [*_parse_tail(lineno, tail), None,
-                                    math.nan, 0]
-        source = parsed[0]
-        if rows is not None:
-            rows.append(SensorEvent(ts, source, parsed[1]))
+            wait, backoff = backoff, min(2 * backoff, _BACKOFF[1])
+        # the next lines to parse one at a time: about ``wait`` of them
+        # while blocks are tried, else every line held
+        buf, pos = text.buf, text.pos
+        cut = buf.rfind("\n", pos, pos + _LINE * wait) if blocks else -1
+        if cut < 0:
+            cut = buf.find("\n", pos) if blocks else buf.rfind("\n", pos)
+        if cut < 0:
+            if not text.eof:
+                text.more()
+            elif pos < len(buf):
+                text.buf, text.pos = buf[pos:] + "\n", 0
+            else:
+                break
             continue
-        if ts > prev_ts:
-            lane = 0
-        elif ts == prev_ts and source >= prev[0]:
-            lane = lane + 1 if source == prev[0] else 0
-        else:
-            rows = [*events, SensorEvent(ts, source, parsed[1])]
-            continue
-        prev_ts, prev = ts, parsed
-        k = grid_tick(start, tick, ts) if grid is not None else None
-        if k is None:
-            events.extend((SensorEvent(ts, source, parsed[1]),))
-            continue
-        run = parsed[2]
-        if run is not None and lane == parsed[4]:
-            if ts == parsed[3]:
+        lines = buf[pos:cut].split("\n")
+        text.pos = cut + 1
+        wait -= len(lines)
+        for lineno, line in enumerate(lines, lineno + 1):
+            ts_raw, _, tail = line.partition(",")
+            parsed = tails.get(tail)
+            try:
+                ts = float(ts_raw)
+            except ValueError:
+                ts = math.nan
+            if parsed is not None and ts == parsed[3] and ts > prev_ts and \
+                    not parsed[4]:
+                # the next row of the text's run, first on its tick
+                run = parsed[2]
                 run[2] += 1
                 parsed[3] = start + (run[0] + run[2] * run[1]) * tick
+                prev_ts, prev, lane = ts, parsed, 0
                 continue
-            if run[2] == 1 and k > run[0]:
-                run[1], run[2] = k - run[0], 2
-                parsed[3] = start + (run[0] + 2 * run[1]) * tick
+            if parsed is None:
+                if not line:
+                    continue
+                if tail.count(",") != 3:
+                    raise ValueError(f"line {lineno}: expected 5 fields, "
+                                     f"got {line.count(',') + 1}")
+            if not math.isfinite(ts):
+                raise ValueError(f"line {lineno}: bad timestamp {ts_raw!r}")
+            if parsed is None:
+                if len(tails) == _TAILS_CACHED:
+                    tails.clear()
+                    periodic.clear()
+                parsed = tails[tail] = [*_parse_tail(lineno, tail), None,
+                                        math.nan, 0, "," + tail + "\n"]
+            source = parsed[0]
+            if rows is not None:
+                rows.append(SensorEvent(ts, source, parsed[1]))
                 continue
-        parsed[2:] = [k, 0, 1, source, parsed[1], lane], math.nan, lane
-        entries.append(parsed[2])
+            if ts > prev_ts:
+                lane = 0
+            elif ts == prev_ts and source >= prev[0]:
+                lane = lane + 1 if source == prev[0] else 0
+            else:
+                # no run continues from here on: every row goes in ``rows``
+                rows = [*events, SensorEvent(ts, source, parsed[1])]
+                prev_ts, blocks = math.inf, False
+                continue
+            prev_ts, prev = ts, parsed
+            k = grid_tick(start, tick, ts) if grid is not None else None
+            if k is None:
+                events.extend((SensorEvent(ts, source, parsed[1]),))
+                continue
+            run = parsed[2]
+            if run is not None and lane == parsed[4]:
+                if ts == parsed[3]:
+                    run[2] += 1
+                    parsed[3] = start + (run[0] + run[2] * run[1]) * tick
+                    continue
+                if run[2] == 1 and k > run[0]:
+                    run[1], run[2] = k - run[0], 2
+                    parsed[3] = start + (run[0] + 2 * run[1]) * tick
+                    # a new period predicts rows: try a block next
+                    periodic[tail] = parsed
+                    wait = 0
+                    continue
+            parsed[2:5] = [k, 0, 1, source, parsed[1], lane], math.nan, lane
+            periodic.pop(tail, None)
+            entries.append(parsed[2])
     if rows is None:
         return events
     if grid is not None:
@@ -798,9 +938,110 @@ def read_event_log(stream, grid: Optional[Tuple[float, float]] = None) -> EventR
     return events
 
 
+def _read_block(text: _LogText, start: float, tick: float,
+                periodic: Dict[str, list], prev_ts: float,
+                span: int) -> Tuple[int, Optional[list], Optional[bool]]:
+    """Read the next block of rows of ``read_event_log`` at ``text``, as far
+    as the stream holds the text that ``write_event_log`` writes for it:
+    (rows read, the tail entry of the last row, whether the stream held the
+    whole block or None if no block was built), with the runs extended and
+    ``text.pos`` moved past the rows. Where the text differs, the block
+    reads the ticks before the first tick whose rows differ.
+
+    The block is the rows that the latest run of each text in ``periodic``
+    predicts from the first row after ``prev_ts``, over ``span`` steps of
+    the gcd of their periods and at most ``_WINDOW`` ticks: of the runs
+    whose next row is after it, the one of each source and lane with the
+    latest last row, if it has a row in the block. A source's lanes must be
+    0..L and share a next tick and a period, so that on each tick the row
+    parser numbers their rows as their lanes; the block's ticks must have
+    distinct times. The block's first row is compared before the rest is
+    built."""
+    heads: Dict[Tuple[str, int], list] = {}
+    for parsed in periodic.values():
+        if parsed[3] > prev_ts:
+            run = parsed[2]
+            key = (parsed[0], parsed[4])
+            other = heads.get(key)
+            if other is None or other[2][0] + (other[2][2] - 1) * other[2][1] \
+                    < run[0] + (run[2] - 1) * run[1]:
+                heads[key] = parsed
+    if not heads:
+        return 0, None, None
+    nexts = [(parsed[2][0] + parsed[2][2] * parsed[2][1], parsed)
+             for parsed in heads.values()]
+    a = min(j for j, _ in nexts)
+    b = a + min(span * math.gcd(*(parsed[2][1] for parsed in heads.values())),
+                _WINDOW)
+    placed = sorted(((parsed, range(j, j + (b - 1 - j) // parsed[2][1]
+                                    * parsed[2][1] + 1, parsed[2][1]))
+                     for j, parsed in nexts if j < b),
+                    key=lambda item: (item[0][0], item[0][4]))
+    first = None
+    lanes = 0
+    for i, (parsed, ks) in enumerate(placed):
+        lanes = lanes + 1 if i and parsed[0] == placed[i - 1][0][0] else 0
+        if parsed[4] != lanes or lanes and ks != placed[i - 1][1]:
+            return 0, None, None
+        if first is None and ks.start == a:
+            first = repr(parsed[3]) + parsed[5]
+    if len(text.buf) - text.pos < len(first) and not text.eof:
+        text.more(len(first))
+    buf, pos = text.buf, text.pos
+    if not buf.startswith(first, pos):
+        return 0, None, None
+    ticks, window = _layout(a, placed)
+    top = max(abs(ticks[0]), abs(ticks[-1]))
+    if not ticks.step * tick > math.ulp(top * tick) + \
+            math.ulp(max(abs(start + ticks[0] * tick),
+                         abs(start + ticks[-1] * tick))):
+        return 0, None, None
+    stamps = tick_texts(start, tick, ticks)
+    rows = _rows_text(len(ticks) * len(window),
+                      [(into, stamps[at], parsed[5])
+                       for parsed, _, at, into in window])
+    if len(buf) - pos < len(rows) and not text.eof:
+        text.more(len(rows))
+        buf, pos = text.buf, text.pos
+    size, stop = len(rows), ticks.stop
+    if not buf.startswith(rows, pos):
+        # the block ends before the first tick whose rows differ
+        row = rows.rfind("\n", 0, _same_prefix(buf, pos, rows)) + 1
+        stamp = rows[row:rows.index(",", row)]
+        stop = ticks[stamps.index(stamp)]
+        if stop == a:
+            return 0, None, False
+        size = rows.find("\n" + stamp + ",") + 1
+    read, last, end = 0, None, a
+    for parsed, ks in placed:
+        n = len(range(ks.start, stop, ks.step))
+        if n:
+            run = parsed[2]
+            run[2] += n
+            parsed[3] = start + (run[0] + run[2] * run[1]) * tick
+            read += n
+            if ks[n - 1] >= end:
+                last, end = parsed, ks[n - 1]
+    text.pos = pos + size
+    return read, last, stop == ticks.stop
+
+
+def _same_prefix(buf: str, pos: int, text: str) -> int:
+    """The length of the longest common prefix of ``buf[pos:]`` and
+    ``text``, by bisection."""
+    same, most = 0, min(len(text), len(buf) - pos)
+    while same < most:
+        mid = (same + most + 1) // 2
+        if buf.startswith(text[same:mid], pos + same):
+            same = mid
+        else:
+            most = mid - 1
+    return same
+
+
 def _parse_tail(lineno: int, tail: str) -> Tuple[str, Payload]:
     """The source and payload of a row's four fields after the timestamp."""
-    source, kind, arg1, arg2 = tail.rstrip("\n").split(",")
+    source, kind, arg1, arg2 = tail.split(",")
     try:
         if kind == _KIND_PIR:
             payload: Payload = PirMotion()

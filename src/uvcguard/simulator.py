@@ -873,11 +873,11 @@ def _sense(scenario: Scenario, runs: EventRuns) -> Iterator[int]:
     """The sensing pass: moves the occupants through the run and adds the
     run's sensor events to ``runs``, on its tick grid: a tick alone adds
     its rows, and a still span adds each source's rows as one run over the
-    span and the rows of each advert in it. It yields the tick up to which
-    the rows are final, and rows after it may be there: after tick 0's
-    rows, after each span, and last the run's last tick. It reads no
-    controller state and tracks no entry clocks, and simulate() pulls it
-    to the end."""
+    span and each lane's adverts in it as a run per stretch of one period.
+    It yields the tick up to which the rows are final, and rows after it
+    may be there: after tick 0's rows, after each span, and last the run's
+    last tick. It reads no controller state and tracks no entry clocks, and
+    simulate() pulls it to the end."""
     ticks = _TickGrid(scenario)
     occupants = _Occupants(scenario, ticks)
     sensing = _Sensing(scenario, ticks)
@@ -893,25 +893,57 @@ def _sense(scenario: Scenario, runs: EventRuns) -> Iterator[int]:
         if k == 0:
             yield 0
         if until > k + 1:
-            # the span's advert ticks repeat the adverts of its first one
-            adverts = [(source, payload) for source, payload in payloads
-                       if payload.__class__ is BleAdvert] if advert else None
-            j = k
-            while True:
-                j = max(j + 1, ticks.first_at(sensing.next_advert - 1e-9))
-                if j >= until:
-                    break
-                sensing.next_advert += BLE_ADVERT_PERIOD
+            adverts = None
+            for j, period, n in _advert_stretches(ticks, sensing, k, until):
                 if adverts is None:
-                    adverts = [(source, payload) for source, payload in
-                               sensing.tick(ticks.time(j), occupants, True)
+                    # the span's advert ticks repeat the adverts of the first
+                    adverts = [(source, payload) for source, payload in (
+                        payloads if advert else
+                        sensing.tick(ticks.time(j), occupants, True))
                                if payload.__class__ is BleAdvert]
                 for source, payload in adverts:
-                    runs.add(j, 1, 1, source, payload)
+                    runs.add(j, period, n, source, payload)
             yield until - 1
         k = until
         occupants.move_to(k)
     yield ticks.count - 1
+
+
+def _advert_stretches(ticks: _TickGrid, sensing: "_Sensing", k: int,
+                      until: int) -> Iterator[Tuple[int, int, int]]:
+    """The ticks after k and before ``until`` on which the beacons
+    advertise, as the runs (first tick, period, count) that one add per
+    tick makes: the first tick alone, then each stretch of one period. Each
+    advert moves the advert clock, and its tick is the first tick at or
+    after its time less 1e-9 s, and after the one before. The tick one gap
+    on from the one before (after the first, one advert period in ticks)
+    is taken where it is that tick, and ``first_at`` is asked otherwise."""
+    count = ticks.count
+    j, guess = k, -1
+    first = period = n = 0          # the stretch under way, of n ticks
+    while True:
+        t = sensing.next_advert - 1e-9
+        if not (0 < guess < count and
+                ticks.time(guess - 1) < t <= ticks.time(guess)):
+            guess = ticks.first_at(t)
+        prev, j = j, max(j + 1, guess)
+        if j >= until:
+            break
+        sensing.next_advert += BLE_ADVERT_PERIOD
+        if prev == k:
+            yield j, 1, 1
+            gap = round(BLE_ADVERT_PERIOD / ticks.tick)
+        else:
+            gap = j - prev
+            if n and gap == period:
+                n += 1
+            else:
+                if n:
+                    yield first, period, n
+                first, period, n = j, gap, 1
+        guess = j + gap
+    if n:
+        yield first, period, n
 
 
 def _decide(scenario: Scenario, events: EventRuns,

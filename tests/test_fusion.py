@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,6 +29,7 @@ from uvcguard.fusion import (
     window_end,
     write_event_log,
 )
+import uvcguard.fusion as fusion_module
 from uvcguard.room import default_room
 
 PARAMS = FusionParams()
@@ -481,6 +483,13 @@ _TEXT_KS = st.one_of(
 @example(9900.0, 1.0, range(0, 300, 1))
 # tenths just under and at 10 s
 @example(9.5, 0.1, range(0, 20, 1))
+# a tenths start that is not m0 / 10 exactly: without the check that m0 is a
+# multiple of 5, the texts built from digits miss the times
+@example(1614589200.1, 0.1, range(0, 100000, 7))
+# a tenths grid from 10 s on which K * ulp(tick) is too large for the
+# bound, and one that meets it, where no time is built
+@example(10.0, 0.1, range(0, 10 ** 6, 997))
+@example(1614589200.0, 0.1, range(0, 10 ** 6, 991))
 def test_tick_time_texts_are_the_repr_of_each_time(start, tick, ks):
     assert tick_texts(start, tick, ks) == [repr(start + k * tick) for k in ks]
 
@@ -619,3 +628,230 @@ def test_read_event_log_rejects_non_finite_timestamps(bad):
     text = EVENT_LOG_HEADER + f"\n0.1,pir_1,PIR,,\n{bad},pir_1,PIR,,\n"
     with pytest.raises(ValueError, match=f"line 3: bad timestamp '{bad}'"):
         read_event_log(io.StringIO(text))
+
+
+# ---------------------------------------------------------------------------
+# the event-log reader: blocks of rows read by writing them
+# ---------------------------------------------------------------------------
+
+def read_both(text: str, grid=None) -> str:
+    """The repr of the entries that ``read_event_log`` reads from ``text``,
+    or its ValueError; the same with blocks of rows and one row at a time."""
+    read = []
+    for blocks in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fusion_module, "_BLOCKS", blocks)
+            try:
+                read.append(repr(read_event_log(io.StringIO(text), grid).entries))
+            except ValueError as exc:
+                read.append(f"ValueError: {exc}")
+    assert read[0] == read[1]
+    return read[0]
+
+
+_LOG_PAYLOADS = [
+    ("pir_1", PirMotion()),
+    ("pir_2", PirMotion()),
+    ("us_desk_2", UsPresence(1.25)),
+    ("us_desk_2", UsPresence(0.75)),
+    ("ble_door", BleAdvert("a", -60.0)),
+    ("ble_door", BleAdvert("b", -70.0)),
+    ("ble_door", BleAdvert("b", -0.0)),             # equal, written apart
+]
+# (first tick, period in ticks, rows, payload, off the grid)
+_log_bursts = st.lists(st.tuples(st.integers(0, 1500), st.integers(1, 12),
+                                 st.integers(1, 400),
+                                 st.sampled_from(range(len(_LOG_PAYLOADS))),
+                                 st.booleans()),
+                       min_size=1, max_size=6)
+# tenths, whole seconds, quarters, and tenths from 0 s
+_LOG_GRIDS = st.sampled_from([(1614589200.0, 0.1), (1614589200.0, 1.0),
+                              (5.0, 0.25), (0.0, 0.1)])
+
+
+def log_of(rows, grid) -> str:
+    out = io.StringIO()
+    write_event_log(EventRuns.of(rows, *grid), out)
+    return out.getvalue()
+
+
+def written_log(bursts, grid) -> str:
+    start, tick = grid
+    return log_of([ev(start + k * tick + (tick / 3.0 if off else 0.0),
+                      *_LOG_PAYLOADS[index])
+                   for first, period, count, index, off in bursts
+                   for k in range(first, first + period * count, period)],
+                  grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_log_bursts, _LOG_GRIDS)
+# two beacons on one receiver, one of them on every other advert tick only
+@example([(3, 10, 200, 4, False), (3, 20, 100, 5, False),
+          (0, 1, 300, 2, False)], (1614589200.0, 0.1))
+def test_written_logs_read_alike_by_blocks_and_by_rows(bursts, grid):
+    text = written_log(bursts, grid)
+    read = read_both(text, grid)
+    assert read_both(text, None)
+    # a last row with no newline continues its run
+    assert read_both(text[:-1], grid) == read
+
+
+_EDITS = ("delete", "duplicate", "swap", "trailing zero", "ulp", "crlf")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_log_bursts, _LOG_GRIDS, st.sampled_from(_EDITS), st.integers(0, 10 ** 6))
+# a receiver's row after an ultrasonic row on the tick of that row's second
+# payload: the log is out of order there, and reads as its sorted rows, one
+# entry per row of the alternating payloads, though a block from that tick
+# would match the rows after it
+@example([(0, 1, 60, 4, False), (0, 2, 30, 2, False), (1, 2, 30, 3, False)],
+         (1614589200.0, 0.1), "swap", 4)
+def test_edited_logs_read_alike_by_blocks_and_by_rows(bursts, grid, edit, where):
+    header, *lines = written_log(bursts, grid).split("\n")[:-1]
+    i = where % len(lines)
+    ts, tail = lines[i].split(",", 1)
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "swap":
+        j = min(i + 1, len(lines) - 1)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "trailing zero":
+        # a text that parses to the same time but is not the repr
+        lines[i] = ts + "0," + tail
+    elif edit == "ulp":
+        lines[i] = repr(math.nextafter(float(ts), math.inf)) + "," + tail
+    text = "\n".join([header, *lines]) + "\n"
+    if edit == "trailing zero":
+        assert read_both(text, grid) == read_both(
+            "\n".join([header, *lines[:i], ts + "," + tail, *lines[i + 1:]])
+            + "\n", grid)
+    elif edit == "crlf":
+        crlf = text.replace("\n", "\r\n")
+        read_both(crlf, grid)
+        # a stream that translates line ends reads the log as it was
+        assert repr(read_event_log(io.StringIO(crlf, newline=None), grid).entries) \
+            == read_both(text, grid)
+    else:
+        read_both(text, grid)
+
+
+def test_a_corrupt_row_inside_a_block_is_named_by_its_line(monkeypatch):
+    # two runs over 3000 ticks: every row after the first few is in a block
+    grid = (1614589200.0, 0.1)
+    text = written_log([(0, 1, 3000, 0, False), (0, 10, 300, 4, False)], grid)
+    rows_by_block = []
+    read_block = fusion_module._read_block
+
+    def counted(*args):
+        got = read_block(*args)
+        rows_by_block.append(got[0])
+        return got
+
+    monkeypatch.setattr(fusion_module, "_read_block", counted)
+    read = read_both(text, grid)
+    assert sum(rows_by_block) > 3000
+    lines = text.split("\n")
+    for lineno, bad, error in (
+            (2500, "1614589449.8,pir_1,LIDAR,,", "unknown kind 'LIDAR'"),
+            (2900, "1614589459.8x,pir_1,PIR,,", "bad timestamp '1614589459.8x'"),
+            (3299, "1614589499.8,pir_1,PIR,", "expected 5 fields, got 4")):
+        assert lines[lineno - 1].split(",")[1] == "pir_1"
+        edited = "\n".join(lines[:lineno - 1] + [bad] + lines[lineno:])
+        assert read_both(edited, grid) == f"ValueError: line {lineno}: {error}"
+    assert read_both(text, grid) == read
+
+
+def test_rows_a_block_would_put_in_other_lanes_read_row_by_row():
+    # beacon b is lane 1 under a and c, which take turns in lane 0, and then
+    # lane 0 alone: a block from b's first tick alone would hold its row in
+    # lane 1. Ids of several lengths move where the reader's batches of rows
+    # end, so that some block starts on that tick
+    grid = (1614589200.0, 0.1)
+    for pad in range(40):
+        rows = []
+        for k in range(60):
+            t = grid[0] + k * grid[1]
+            if k < 8 + pad % 9:
+                beacon = "a" * (1 + pad // 9) if k % 2 == 0 else "c"
+                rows.append(ev(t, "ble_door", BleAdvert(beacon, -60.0)))
+            rows.append(ev(t, "ble_door", BleAdvert("b" * (1 + pad % 5), -61.0)))
+        read_both(log_of(rows, grid), grid)
+
+
+@pytest.mark.parametrize("frac", [0.9, 0.95, 0.98, 0.99, 1.01])
+def test_ticks_that_share_a_time_read_row_by_row(frac):
+    # a tick of about an ulp of the start: some ticks round to the time of
+    # the tick before, where the row parser puts the second row in lane 1
+    start = 2.0 ** 20
+    tick = frac * math.ulp(start)
+    text = EVENT_LOG_HEADER + "\n" + "".join(
+        f"{start + k * tick!r},pir_1,PIR,,\n" for k in range(120))
+    read_both(text, (start, tick))
+
+
+class _Trickle:
+    """A stream that returns 1 to 7 characters a read, and fails a read of
+    no size or of more than the reader's chunk."""
+
+    def __init__(self, text: str, seed: int):
+        self.text, self.at, self.rnd = text, 0, random.Random(seed)
+
+    def read(self, size: int = -1) -> str:
+        assert 0 < size <= fusion_module._CHUNK, size
+        n = min(size, self.rnd.randint(1, 7))
+        piece = self.text[self.at:self.at + n]
+        self.at += len(piece)
+        return piece
+
+
+class _Bounded(io.StringIO):
+    """A stream that fails a read of no size or of more than the reader's
+    chunk, and any other way of reading it."""
+
+    def read(self, size=-1):
+        assert size is not None and 0 < size <= fusion_module._CHUNK, size
+        return super().read(size)
+
+    def readline(self, size=-1):
+        raise AssertionError("readline")
+
+    def __iter__(self):
+        raise AssertionError("iter")
+
+
+def test_the_reader_reads_the_stream_in_bounded_chunks():
+    grid = (1614589200.0, 0.1)
+    # some 210 kB: more than three chunks
+    text = written_log([(0, 1, 6000, 2, False), (0, 10, 600, 4, False),
+                        (3000, 1, 50, 0, False)], grid)
+    assert len(text) > 3 * fusion_module._CHUNK
+    read = read_both(text, grid)
+    assert repr(read_event_log(_Bounded(text), grid).entries) == read
+    short = text[:text.index("\n", 40000) + 1]
+    assert repr(read_event_log(_Trickle(short, 1), grid).entries) == \
+        read_both(short, grid)
+    at = short.index(",us_desk_2,US,1.25,\n", 30000)
+    edited = short[:at] + ",us_desk_2,US,1.25,," + short[at + 19:]
+    lineno = short.count("\n", 0, at) + 1
+    with pytest.raises(ValueError, match=f"line {lineno}: expected 5 fields, got 6"):
+        read_event_log(_Trickle(edited, 2), grid)
+    with pytest.raises(ValueError, match="line 1"):
+        read_event_log(_Trickle("timestamp_s,source\n", 3), grid)
+
+
+def test_an_out_of_order_log_keeps_every_row_after_it_turns():
+    # rows that would continue a run after the first row out of order are
+    # rows like the others: the log reads as its rows sorted
+    text = EVENT_LOG_HEADER + "\n" + "".join(
+        f"{t},{source},PIR,,\n" for t, source in (
+            (1.0, "a"), (2.0, "a"), (3.0, "a"), (0.5, "b"), (4.0, "a"),
+            (5.0, "a")))
+    rows = [ev(t, s, PirMotion()) for t, s in (
+        (0.5, "b"), (1.0, "a"), (2.0, "a"), (3.0, "a"), (4.0, "a"), (5.0, "a"))]
+    for grid in ((0.0, 0.5), None):
+        assert read_event_log(io.StringIO(text), grid) == rows
+        assert read_both(text, grid)

@@ -923,6 +923,11 @@ NEXT_EVENT_RUNS = {
         reference_scenarios()["B"], duration=1500.0,
         occupants=reference_scenarios()["B"].occupants + (
             seated("carrier_2", x=1.0, y=1.5, until=1500.0, beacon=True),)),
+    # a tick that does not divide the advert period: a still span's adverts
+    # fall 3, 3 and 4 ticks apart, so a tick guessed one gap after the last
+    # is wrong every third advert
+    "third_ticks_B": lambda: dataclasses.replace(
+        reference_scenarios()["B"], duration=300.0, tick=0.3),
     # a local midnight falls inside a still span with adverts folded in
     "midnight_sitter": lambda: dataclasses.replace(
         reference_scenarios()["B"], duration=4800.0,
